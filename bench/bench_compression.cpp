@@ -3,7 +3,7 @@
 /// considered, too, but has been found ineffective due to long runtimes
 /// and low compression rates compared to transmission time."
 ///
-/// Compresses the real serialized Engine blocks with RLE and LZ77, then
+/// Compresses the real serialized Engine blocks with LZ77, then
 /// compares (compress + transmit-compressed + decompress) against plain
 /// transmission on the calibrated cluster's interconnects. Verdict printed
 /// per link.
@@ -32,64 +32,48 @@ int main() {
     raw_bytes += payloads.back().size();
   }
 
-  struct CodecResult {
-    const char* name;
-    util::Codec codec;
-    std::uint64_t compressed_bytes = 0;
-    double compress_seconds = 0.0;
-    double decompress_seconds = 0.0;
-  };
-  std::vector<CodecResult> results{{"rle", util::Codec::kRle, 0, 0, 0},
-                                   {"lz77", util::Codec::kLz, 0, 0, 0}};
-
-  for (auto& result : results) {
-    for (const auto& payload : payloads) {
-      const double t0 = util::thread_cpu_seconds();
-      const auto compressed = util::compress(payload, result.codec);
-      result.compress_seconds += util::thread_cpu_seconds() - t0;
-      result.compressed_bytes += compressed.size();
-      const double t1 = util::thread_cpu_seconds();
-      const auto restored = util::decompress(compressed.data(), compressed.size());
-      result.decompress_seconds += util::thread_cpu_seconds() - t1;
-      if (!restored || restored->size() != payload.size()) {
-        std::fprintf(stderr, "codec %s corrupted a block!\n", result.name);
-        return 1;
-      }
+  std::uint64_t compressed_bytes = 0;
+  double compress_seconds = 0.0;
+  double decompress_seconds = 0.0;
+  for (const auto& payload : payloads) {
+    const double t0 = util::thread_cpu_seconds();
+    const auto compressed = util::compress(payload, util::Codec::kLz);
+    compress_seconds += util::thread_cpu_seconds() - t0;
+    compressed_bytes += compressed.size();
+    const double t1 = util::thread_cpu_seconds();
+    const auto restored = util::decompress(compressed.data(), compressed.size());
+    decompress_seconds += util::thread_cpu_seconds() - t1;
+    if (!restored || restored->size() != payload.size()) {
+      std::fprintf(stderr, "lz77 corrupted a block!\n");
+      return 1;
     }
   }
 
   std::printf("\n  %u blocks, %.2f MB raw (Engine step 0)\n",
               reader.meta().block_count(), raw_bytes / 1048576.0);
   std::printf("  %-6s %-10s %-14s %-14s\n", "codec", "ratio", "compress MB/s", "decompress MB/s");
-  for (const auto& result : results) {
-    std::printf("  %-6s %-10.3f %-14.1f %-14.1f\n", result.name,
-                util::compression_ratio(raw_bytes, result.compressed_bytes),
-                raw_bytes / 1048576.0 / std::max(1e-9, result.compress_seconds),
-                raw_bytes / 1048576.0 / std::max(1e-9, result.decompress_seconds));
-  }
+  std::printf("  %-6s %-10.3f %-14.1f %-14.1f\n", "lz77",
+              util::compression_ratio(raw_bytes, compressed_bytes),
+              raw_bytes / 1048576.0 / std::max(1e-9, compress_seconds),
+              raw_bytes / 1048576.0 / std::max(1e-9, decompress_seconds));
 
   // Verdict per interconnect: does compressing pay off on the calibrated
   // virtual cluster's links? Compress/decompress run on virtual CPUs
   // (cpu_scale slower than this host).
   std::printf("\n  link verdicts (virtual cluster, cpu_scale %.0fx):\n", cluster.cpu_scale);
-  bool any_win = false;
   bool plain_wins_peer = false;
-  for (const auto& result : results) {
-    for (const auto& [label, bandwidth] :
-         {std::pair<const char*, double>{"peer-interconnect", cluster.intra_bandwidth},
-          std::pair<const char*, double>{"client-tcp-link", cluster.client_bandwidth}}) {
-      const double plain = static_cast<double>(raw_bytes) / bandwidth;
-      const double packed = (result.compress_seconds + result.decompress_seconds) *
-                                cluster.cpu_scale +
-                            static_cast<double>(result.compressed_bytes) / bandwidth;
-      const bool wins = packed < plain;
-      any_win |= wins;
-      if (!wins && std::string(label) == "peer-interconnect") {
-        plain_wins_peer = true;
-      }
-      std::printf("    %-5s over %-18s plain %7.2fs   compressed %7.2fs   -> %s\n",
-                  result.name, label, plain, packed, wins ? "compress" : "send raw");
+  for (const auto& [label, bandwidth] :
+       {std::pair<const char*, double>{"peer-interconnect", cluster.intra_bandwidth},
+        std::pair<const char*, double>{"client-tcp-link", cluster.client_bandwidth}}) {
+    const double plain = static_cast<double>(raw_bytes) / bandwidth;
+    const double packed = (compress_seconds + decompress_seconds) * cluster.cpu_scale +
+                          static_cast<double>(compressed_bytes) / bandwidth;
+    const bool wins = packed < plain;
+    if (!wins && std::string(label) == "peer-interconnect") {
+      plain_wins_peer = true;
     }
+    std::printf("    lz77  over %-18s plain %7.2fs   compressed %7.2fs   -> %s\n", label, plain,
+                packed, wins ? "compress" : "send raw");
   }
 
   perf::print_expectation(

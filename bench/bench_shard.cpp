@@ -9,10 +9,15 @@
 ///     blocks must re-serve from surviving replicas (dms.replica_promotions)
 ///     with zero disk respills after the kill.
 ///
-/// Emits BENCH_shard.json and exits non-zero if the shape check fails:
-/// peer-transfer miss latency must be >= 2x better than the central miss
-/// latency under fan-in, the kill phase must promote at least one replica,
-/// and it must not respill from disk.
+/// The central/sharded comparison runs kRounds times, each round on fresh
+/// stacks, and the gate takes the median of the per-round miss-p50 ratios:
+/// a smoke round's ~100 misses give a p50 that one slow phase of the
+/// peer-service thread can flip.
+///
+/// Emits BENCH_shard.json (with every round's ratio) and exits non-zero if
+/// the shape check fails: the median round's peer-transfer miss p50 must be
+/// >= 2x better than the central miss p50 under fan-in, the kill phase must
+/// promote at least one replica, and it must not respill from disk.
 ///
 /// `--smoke` shrinks the per-rank request count — the CI smoke run.
 
@@ -44,6 +49,7 @@ constexpr int kRanks = 4;
 constexpr int kBlocks = 64;
 constexpr int kBlockBytes = 4096;
 constexpr int kReadSleepUs = 1500;  ///< simulated storage latency per load
+constexpr int kRounds = 11;         ///< central/sharded rounds, fresh stacks each
 
 /// Deterministic in-memory blocks behind a simulated-latency "disk". The
 /// sleep is what the sharded path avoids: a peer fetch is a memory copy
@@ -245,23 +251,38 @@ int main(int argc, char** argv) {
   route_config.replication = 1;
   const dms::ShardMap routes(route_config);
 
-  Stack central(/*sharded=*/false);
-  const auto central_ms = run_all_ranks(central, routes, per_rank);
-
-  Stack sharded(/*sharded=*/true, /*repl=*/1);
-  const auto sharded_ms = run_all_ranks(sharded, routes, per_rank);
+  std::vector<double> central_ms;
+  std::vector<double> sharded_ms;
+  std::vector<double> round_speedups;
   std::uint64_t peer_fetches = 0;
   std::uint64_t peer_pushes = 0;
-  for (const auto& proxy : sharded.proxies) {
-    peer_fetches += proxy->stats().snapshot().peer_fetches;
-    peer_pushes += proxy->stats().snapshot().peer_pushes;
+  for (int round = 0; round < kRounds; ++round) {
+    Stack central(/*sharded=*/false);
+    const auto central_round = run_all_ranks(central, routes, per_rank);
+    Stack sharded(/*sharded=*/true, /*repl=*/1);
+    const auto sharded_round = run_all_ranks(sharded, routes, per_rank);
+    for (const auto& proxy : sharded.proxies) {
+      peer_fetches += proxy->stats().snapshot().peer_fetches;
+      peer_pushes += proxy->stats().snapshot().peer_pushes;
+    }
+    const double sharded_p50 = percentile(sharded_round, 0.50);
+    round_speedups.push_back(sharded_p50 > 0.0 ? percentile(central_round, 0.50) / sharded_p50
+                                               : 0.0);
+    central_ms.insert(central_ms.end(), central_round.begin(), central_round.end());
+    sharded_ms.insert(sharded_ms.end(), sharded_round.begin(), sharded_round.end());
   }
 
   const auto kill = run_kill_phase();
 
   const double central_p50 = percentile(central_ms, 0.50);
   const double sharded_p50 = percentile(sharded_ms, 0.50);
-  const double speedup = sharded_p50 > 0.0 ? central_p50 / sharded_p50 : 0.0;
+  const double speedup = percentile(round_speedups, 0.50);
+  std::string rounds_json;
+  for (const double ratio : round_speedups) {
+    char item[32];
+    std::snprintf(item, sizeof(item), "%s%.2f", rounds_json.empty() ? "" : ", ", ratio);
+    rounds_json += item;
+  }
 
   perf::print_banner("Sharded DMS & peer transfer",
                      "Zipf block mix: central strategy+disk vs consistent-hash peer fetch");
@@ -270,23 +291,27 @@ int main(int argc, char** argv) {
               percentile(central_ms, 0.99));
   std::printf("  %-14s %8zu %12.3f %12.3f\n", "sharded", sharded_ms.size(), sharded_p50,
               percentile(sharded_ms, 0.99));
-  std::printf("\n  miss p50 speedup: %.1fx   peer fetches: %llu   pushes: %llu\n", speedup,
-              static_cast<unsigned long long>(peer_fetches),
+  std::printf("\n  miss p50 speedup, median of %d rounds: %.1fx   peer fetches: %llu   "
+              "pushes: %llu\n",
+              kRounds, speedup, static_cast<unsigned long long>(peer_fetches),
               static_cast<unsigned long long>(peer_pushes));
+  std::printf("  per-round speedups: %s\n", rounds_json.c_str());
   std::printf("  kill phase (R=2): promotions=%llu respills=%llu timeouts=%llu\n",
               static_cast<unsigned long long>(kill.replica_promotions),
               static_cast<unsigned long long>(kill.respills_after_kill),
               static_cast<unsigned long long>(kill.peer_fetch_timeouts));
 
   std::ofstream out("BENCH_shard.json");
-  char body[512];
+  char body[1024];
   std::snprintf(body, sizeof(body),
                 "{\n  \"bench\": \"shard\",\n  \"ranks\": %d,\n  \"blocks\": %d,\n"
-                "  \"requests_per_rank\": %d,\n  \"central_miss_p50_ms\": %.3f,\n"
-                "  \"sharded_miss_p50_ms\": %.3f,\n  \"miss_p50_speedup\": %.2f,\n"
+                "  \"requests_per_rank\": %d,\n  \"rounds\": %d,\n"
+                "  \"central_miss_p50_ms\": %.3f,\n  \"sharded_miss_p50_ms\": %.3f,\n"
+                "  \"round_miss_p50_speedups\": [%s],\n  \"miss_p50_speedup\": %.2f,\n"
                 "  \"peer_fetches\": %llu,\n  \"peer_pushes\": %llu,\n"
                 "  \"replica_promotions\": %llu,\n  \"respills_after_kill\": %llu\n}\n",
-                kRanks, kBlocks, per_rank, central_p50, sharded_p50, speedup,
+                kRanks, kBlocks, per_rank, kRounds, central_p50, sharded_p50,
+                rounds_json.c_str(), speedup,
                 static_cast<unsigned long long>(peer_fetches),
                 static_cast<unsigned long long>(peer_pushes),
                 static_cast<unsigned long long>(kill.replica_promotions),
@@ -294,12 +319,15 @@ int main(int argc, char** argv) {
   out << body;
   std::printf("  wrote BENCH_shard.json\n");
   perf::print_expectation(
-      "peer-fetch miss p50 >= 2x better than central; kill promotes replicas, zero respills");
+      "median round's peer-fetch miss p50 >= 2x better than central; kill promotes "
+      "replicas, zero respills");
 
   bool ok = true;
-  // The tentpole claim: a non-owned miss is a wire copy from the owner's
-  // memory, not a strategy round-trip plus a storage read. 2x is
-  // conservative — the central path sleeps kReadSleepUs under fan-in.
+  // The claim: a non-owned miss is a wire copy from the owner's memory,
+  // not a strategy round-trip plus a storage read. 2x is conservative — the
+  // central path sleeps kReadSleepUs under fan-in. Gated on the median
+  // round, so one round whose peer fetches all wait out a poll slice does
+  // not decide it.
   ok = ok && speedup >= 2.0;
   ok = ok && peer_fetches > 0;
   // Replica failover: a killed owner's blocks re-serve from the surviving

@@ -99,9 +99,8 @@ class TcpLink final : public ClientLink {
 
   /// Enables compressed frames after a successful hello/ack negotiation.
   /// Call before the link is shared across threads.
-  void enable_compression(util::Codec codec, std::size_t threshold) {
+  void enable_compression(std::size_t threshold) {
     compress_ = true;
-    codec_ = codec;
     compress_threshold_ = threshold;
   }
 
@@ -113,7 +112,7 @@ class TcpLink final : public ClientLink {
     // Negotiated wire compression: large frames shrink to a self-describing
     // util::compress() stream; incompressible payloads ship raw (bypass).
     const bool compressed = compress_ && msg.payload.size() >= compress_threshold_ &&
-                            pack_payload(msg.payload, codec_);
+                            pack_payload(msg.payload);
     std::byte header[kFrameHeaderBytes];
     encode_frame_header(header, msg.source, msg.tag, msg.payload.size(), compressed);
     if (!write_all(header, sizeof(header)) || !write_all(msg.payload.data(), msg.payload.size())) {
@@ -212,7 +211,6 @@ class TcpLink final : public ClientLink {
   std::mutex send_mutex_;
   std::atomic<bool> closed_{false};
   bool compress_ = false;
-  util::Codec codec_ = util::Codec::kStore;
   std::size_t compress_threshold_ = 4096;
 };
 
@@ -303,7 +301,6 @@ std::unique_ptr<ClientLink> tcp_connect(const std::string& host, std::uint16_t p
 
   WireHello hello;
   hello.features = options.compression ? kFeatureWireCompression : 0;
-  hello.codec = options.codec;
   Message msg;
   msg.source = -1;
   msg.tag = kTagHello;
@@ -325,7 +322,7 @@ std::unique_ptr<ClientLink> tcp_connect(const std::string& host, std::uint16_t p
     throw std::runtime_error("tcp_connect: bad hello ack magic");
   }
   if ((ack.features & kFeatureWireCompression) != 0) {
-    static_cast<TcpLink&>(*link).enable_compression(ack.codec, options.compress_threshold);
+    static_cast<TcpLink&>(*link).enable_compression(options.compress_threshold);
   }
   return link;
 }

@@ -47,8 +47,9 @@ struct WireHello {
   std::uint32_t magic = kWireMagic;
   std::uint32_t version = kWireVersion;
   std::uint32_t features = 0;
-  /// Preferred (hello) / granted (ack) codec for compressed frames.
-  util::Codec codec = util::Codec::kStore;
+  /// Codec of compressed frames. LZ is the only one; the field stays on
+  /// the wire and always carries kLz.
+  util::Codec codec = util::Codec::kLz;
 
   void serialize(util::ByteBuffer& out) const;
   static WireHello deserialize(util::ByteBuffer& in);
@@ -56,10 +57,12 @@ struct WireHello {
 
 /// Per-link wire options a client asks for when connecting.
 struct WireOptions {
-  bool compression = true;
-  /// bench_compression ranks the codecs; kLz wins ratio on serialized
-  /// geometry at acceptable throughput.
-  util::Codec codec = util::Codec::kLz;
+  /// Ask for LZ wire compression. Off by default, because it does not pay
+  /// on the links we measure: LZ shrinks serialized Engine blocks only to
+  /// 0.959 of raw (bench_compression), and on one 4-vCPU host the
+  /// 256-client bench_swarm ran at 91-99 ms request p50 with LZ granted
+  /// against 25-33 ms with raw frames (results/swarm_frontends/).
+  bool compression = false;
   /// Frames below this many payload bytes are never compressed.
   std::size_t compress_threshold = 4096;
   /// How long to wait for the server's kTagHelloAck.

@@ -33,8 +33,8 @@ std::vector<std::byte> encode_frame(const Message& msg, bool compressed) {
   return frame;
 }
 
-bool pack_payload(util::ByteBuffer& body, util::Codec codec) {
-  auto packed = util::compress(body.data(), body.size(), codec);
+bool pack_payload(util::ByteBuffer& body) {
+  auto packed = util::compress(body.data(), body.size(), util::Codec::kLz);
   if (packed.size() >= body.size()) {
     return false;
   }

@@ -67,10 +67,10 @@ FrameHeader decode_frame_header(const std::byte* in);
 std::vector<std::byte> encode_frame(const Message& msg, bool compressed = false);
 
 /// Shrink-or-raw rule of a compressing sender: replaces `body` with its
-/// util::compress() stream only when that is strictly smaller, so an
+/// LZ util::compress() stream only when that is strictly smaller, so an
 /// incompressible payload ships raw. Returns true when `body` now holds the
 /// stream (the frame must carry kCompressedFlag).
-bool pack_payload(util::ByteBuffer& body, util::Codec codec);
+bool pack_payload(util::ByteBuffer& body);
 
 /// The message a complete frame carries. A compressed payload is expanded,
 /// refusing one that is undecodable or expands past `max_payload` (checked

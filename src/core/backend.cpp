@@ -114,52 +114,24 @@ std::shared_ptr<comm::ClientLink> Backend::connect() {
 }
 
 std::uint16_t Backend::serve_tcp(std::uint16_t port) {
-  if (config_.net_frontend == BackendConfig::NetFrontend::kEpoll) {
-    event_loop_ = std::make_unique<net::EventLoop>(port, config_.net);
-    event_loop_->set_on_accept([this](std::shared_ptr<comm::ClientLink> link) {
-      VIRA_INFO("backend") << "TCP client connected (event loop)";
-      scheduler_->attach_client(std::move(link));
-    });
-    // Event-driven request pickup: inbound frames (and link closes) pop the
-    // scheduler out of its idle poll wait instead of waiting for the tick.
-    event_loop_->set_on_readable([this] { scheduler_->nudge(); });
-    event_loop_->start();
-    const std::uint16_t bound = event_loop_->port();
-    VIRA_INFO("backend") << "listening on 127.0.0.1:" << bound << " (epoll frontend, "
-                         << config_.net.threads << " thread(s))";
-    return bound;
-  }
-  listener_ = std::make_unique<comm::TcpListener>(port);
-  const std::uint16_t bound = listener_->port();
-  accept_thread_ = std::thread([this] {
-    // Every accepted connection becomes an additional client; the
-    // scheduler routes each request's results back to its submitter.
-    while (!down_.load()) {
-      auto link = listener_->accept(std::chrono::milliseconds(200));
-      if (link) {
-        VIRA_INFO("backend") << "TCP client connected";
-        scheduler_->attach_client(std::shared_ptr<comm::ClientLink>(link.release()));
-      }
-    }
+  event_loop_ = std::make_unique<net::EventLoop>(port, config_.net);
+  event_loop_->set_on_accept([this](std::shared_ptr<comm::ClientLink> link) {
+    VIRA_INFO("backend") << "TCP client connected (event loop)";
+    scheduler_->attach_client(std::move(link));
   });
-  VIRA_INFO("backend") << "listening on 127.0.0.1:" << bound;
+  // Event-driven request pickup: inbound frames (and link closes) pop the
+  // scheduler out of its idle poll wait instead of waiting for the tick.
+  event_loop_->set_on_readable([this] { scheduler_->nudge(); });
+  event_loop_->start();
+  const std::uint16_t bound = event_loop_->port();
+  VIRA_INFO("backend") << "listening on 127.0.0.1:" << bound << " (epoll frontend, "
+                       << config_.net.threads << " thread(s))";
   return bound;
 }
 
 void Backend::shutdown() {
   if (down_.exchange(true)) {
     return;
-  }
-  // Wake the acceptor first (half-close keeps the fd valid while the
-  // thread may still be inside accept()), join it, then release sockets.
-  if (listener_) {
-    listener_->stop();
-  }
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  if (listener_) {
-    listener_->close();
   }
   // Stop the event loop before the scheduler: teardown closes every link's
   // incoming queue, so a scheduler tick mid-shutdown sees closed links, not

@@ -6,8 +6,8 @@
 /// Owns the whole server side of Figure 2: the rank transport, the
 /// scheduler (rank 0), N workers (ranks 1..N, one thread each), the DMS
 /// (central data server + one proxy per worker, with peer transfer wired
-/// across proxies), and the client attachment point (in-process link or a
-/// real TCP listener).
+/// across proxies), and the client attachment points: in-process links and
+/// the epoll TCP frontend (net::EventLoop).
 
 #include <atomic>
 #include <cstdint>
@@ -28,16 +28,8 @@ namespace vira::core {
 struct BackendConfig {
   int workers = 4;
 
-  /// Which TCP frontend serve_tcp() starts. kEpoll (default) runs the
-  /// vira::net event loop: one thread multiplexes all client sockets with
-  /// backpressure, negotiated wire compression, and event-driven scheduler
-  /// wakeups. kBlocking keeps the seed's accept-thread + blocking-socket
-  /// links (one recv poll per link per scheduler tick) as the conservative
-  /// fallback; those links never negotiate features.
-  enum class NetFrontend { kEpoll, kBlocking };
-  NetFrontend net_frontend = NetFrontend::kEpoll;
-  /// Event-loop tuning (threads, send budgets, reap deadline, compression
-  /// policy). Ignored by the blocking frontend.
+  /// Tuning of the TCP frontend serve_tcp() starts (threads, send budgets,
+  /// reap deadline, compression policy).
   net::NetConfig net;
 
   /// Per-worker primary cache budget; "fbr" won the paper's evaluation.
@@ -93,12 +85,11 @@ class Backend {
   /// In-process client connection (the examples' default).
   std::shared_ptr<comm::ClientLink> connect();
 
-  /// Starts the configured TCP frontend (BackendConfig::net_frontend);
-  /// every accepted connection becomes an additional client. Returns the
-  /// bound port.
+  /// Starts the epoll TCP frontend (net::EventLoop); every accepted
+  /// connection becomes an additional client. Returns the bound port.
   std::uint16_t serve_tcp(std::uint16_t port = 0);
 
-  /// Stops scheduler, workers and the TCP acceptor. Idempotent.
+  /// Stops the TCP frontend, scheduler and workers. Idempotent.
   void shutdown();
 
   /// --- introspection for benches and tests --------------------------------
@@ -109,7 +100,7 @@ class Backend {
   Scheduler& scheduler() { return *scheduler_; }
   /// The injection harness, or nullptr when fault_injection was not set.
   comm::FaultInjectingTransport* fault_transport() { return fault_transport_.get(); }
-  /// The epoll frontend, or nullptr (blocking frontend / serve_tcp not called).
+  /// The TCP frontend, or nullptr before serve_tcp().
   net::EventLoop* event_loop() { return event_loop_.get(); }
 
   /// Drops every proxy's cache (cold-start switch).
@@ -131,8 +122,6 @@ class Backend {
   std::vector<std::thread> worker_threads_;
   std::thread scheduler_thread_;
 
-  std::unique_ptr<comm::TcpListener> listener_;
-  std::thread accept_thread_;
   std::unique_ptr<net::EventLoop> event_loop_;
   std::atomic<bool> down_{false};
 };

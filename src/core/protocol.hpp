@@ -33,8 +33,8 @@ enum ClientTag : int {
   // Tags 17 (hello) and 18 (hello ack) belong to the link-level feature
   // negotiation and are defined next to the framing in comm/client_link.hpp
   // (comm::kTagHello / comm::kTagHelloAck): the event-loop frontend answers
-  // them without scheduler involvement; on the blocking fallback the
-  // scheduler answers directly (granting no features).
+  // them without scheduler involvement. The scheduler treats a hello that
+  // reaches it like any unknown tag: kTagError, and the link is closed.
 };
 
 /// Rank transport tags (scheduler ↔ workers). User commands use tags >= 0

@@ -1,6 +1,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/clock.hpp"
 
@@ -210,7 +211,8 @@ void Scheduler::poll_clients() {
 }
 
 /// One client message. Decoding client bytes may throw (a truncated or
-/// corrupt payload); poll_clients answers that by closing the link.
+/// corrupt payload), and so does a tag the scheduler does not serve;
+/// poll_clients answers either by closing the link.
 void Scheduler::handle_client_message(std::size_t client, comm::Message& msg) {
   switch (msg.tag) {
     case kTagSubmit: {
@@ -276,26 +278,10 @@ void Scheduler::handle_client_message(std::size_t client, comm::Message& msg) {
       }
       break;
     }
-    case comm::kTagHello: {
-      // Blocking fallback: the scheduler answers feature negotiation
-      // itself (the event-loop frontend intercepts hellos before they
-      // reach here). Grant nothing — the blocking backend's links speak
-      // the plain framing — but always ack: a negotiated connect blocks
-      // on the answer.
-      auto hello = comm::WireHello::deserialize(msg.payload);
-      comm::WireHello ack;
-      ack.features = 0;
-      ack.codec = util::Codec::kStore;
-      if (hello.magic != comm::kWireMagic) {
-        VIRA_WARN("scheduler") << "client " << client << " sent bad hello magic";
-      }
-      util::ByteBuffer payload;
-      ack.serialize(payload);
-      send_to_client(client, comm::kTagHelloAck, std::move(payload));
-      break;
-    }
     default:
-      VIRA_WARN("scheduler") << "dropping unknown client tag " << msg.tag;
+      // Includes kTagHello: the TCP frontend answers hellos, so one that
+      // reaches the scheduler came over a link that cannot negotiate.
+      throw std::runtime_error("unknown client tag");
   }
 }
 

@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "util/blocking_queue.hpp"
-#include "util/compression.hpp"
 #include "util/log.hpp"
 
 namespace vira::net {
@@ -80,10 +79,9 @@ struct Conn {
   bool slow = false;
   std::chrono::steady_clock::time_point slow_since{};
 
-  /// Negotiated per-link wire features (loop thread writes on hello; any
+  /// Negotiated LZ wire compression (loop thread writes on hello; any
   /// sender thread reads).
   std::atomic<bool> compress{false};
-  std::atomic<std::uint8_t> codec{0};
 
   std::atomic<bool> kick_pending{false};
   std::atomic<bool> closed{false};
@@ -330,8 +328,7 @@ bool EventLoop::Impl::enqueue(const std::shared_ptr<Conn>& conn, comm::Message m
       compress_span = obs::Tracer::instance().start("net.compress", msg.trace_request, /*rank=*/0,
                                                     frame.span.context().span_id);
     }
-    compressed = comm::pack_payload(
-        body, static_cast<util::Codec>(conn->codec.load(std::memory_order_relaxed)));
+    compressed = comm::pack_payload(body);
     compress_span.arg("raw", static_cast<std::int64_t>(raw_size));
     compress_span.arg("packed", static_cast<std::int64_t>(body.size()));
     compress_span.end();
@@ -577,15 +574,7 @@ void EventLoop::Impl::handle_hello(const std::shared_ptr<Conn>& conn, comm::Mess
   }
   comm::WireHello ack;
   if (config.allow_compression && (hello.features & comm::kFeatureWireCompression) != 0) {
-    // Grant compression with the client's preferred codec; kStore (or an
-    // unknown id) falls back to the bench_compression winner.
-    util::Codec codec = hello.codec;
-    if (codec != util::Codec::kRle && codec != util::Codec::kLz) {
-      codec = util::Codec::kLz;
-    }
     ack.features = comm::kFeatureWireCompression;
-    ack.codec = codec;
-    conn->codec.store(static_cast<std::uint8_t>(codec), std::memory_order_relaxed);
     conn->compress.store(true, std::memory_order_release);
   }
   comm::Message reply;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file event_loop.hpp
-/// Epoll edge-triggered client frontend (ISSUE 7 tentpole).
+/// Epoll edge-triggered client frontend: the server's only TCP frontend.
 ///
 /// One event-loop thread (optionally N, connections sharded round-robin)
 /// owns every client socket: non-blocking accept, incremental frame
@@ -11,10 +11,9 @@
 /// handed over, so streamed geometry is never coalesced or copied per send.
 ///
 /// Accepted connections surface as `comm::ClientLink`s (the on_accept
-/// callback hands them to `Scheduler::attach_client`), so the scheduler,
-/// `viz::ExtractionSession` and the server binary are unchanged — exactly
-/// the protocol transparency the blocking backend provided, minus the
-/// thread per connection.
+/// callback hands them to `Scheduler::attach_client`), so the scheduler
+/// serves TCP clients exactly like in-process ones, with no thread per
+/// connection.
 ///
 /// Backpressure policy (DESIGN.md §11): a link whose queued-but-unsent
 /// bytes exceed `send_budget_bytes` is marked *slow* (net.slow_links
@@ -27,9 +26,11 @@
 /// and never stalls other links' streams.
 ///
 /// The hello/feature negotiation (comm::kTagHello, docs/PROTOCOL.md) is
-/// answered here, per link, without scheduler involvement; a granted
-/// kFeatureWireCompression makes the enqueue path compress frames above
-/// the configured threshold (incompressible payloads ship raw).
+/// answered here, per link, without scheduler involvement; a hello that
+/// reaches the scheduler is a malformed message. Clients ask for no
+/// features by default. A granted kFeatureWireCompression makes the
+/// enqueue path LZ-compress frames above the configured threshold
+/// (incompressible payloads ship raw).
 ///
 /// Timekeeping: the net frontend always talks real sockets to real
 /// clients, so it deliberately uses raw steady_clock instead of the

@@ -10,68 +10,13 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 1 + 8;
 
-/// Largest raw/payload ratio either codec can produce: an RLE run token
-/// (3 bytes) and an LZ match with its empty literal count (4 bytes) both
-/// expand to at most 255 bytes.
+/// Largest raw/payload ratio an LZ stream can produce: a match with its
+/// empty literal count (4 bytes) expands to at most 255 bytes.
 constexpr std::uint64_t kMaxExpansion = 85;
 
 void write_header(std::byte* out, Codec codec, std::uint64_t raw_size) {
   out[0] = static_cast<std::byte>(codec);
   std::memcpy(out + 1, &raw_size, sizeof(raw_size));
-}
-
-/// --- RLE -------------------------------------------------------------------
-/// Runs of 4..259 equal bytes become [0xFF][count-4][byte]; the escape byte
-/// 0xFF itself is emitted as a run of length >= 1.
-
-void rle_compress(const std::byte* input, std::size_t size, std::vector<std::byte>& out) {
-  // Long runs (4..255) encode as [0xFF][run-4 in 0..251][byte]; the escape
-  // byte itself, when appearing 1..3 times, encodes as [0xFF][252+count-1]
-  // [0xFF]. The two field ranges are disjoint.
-  std::size_t i = 0;
-  while (i < size) {
-    std::size_t run = 1;
-    while (i + run < size && input[i + run] == input[i] && run < 255) {
-      ++run;
-    }
-    if (run >= 4) {
-      out.push_back(std::byte{0xFF});
-      out.push_back(static_cast<std::byte>(run - 4));
-      out.push_back(input[i]);
-      i += run;
-    } else if (input[i] == std::byte{0xFF}) {
-      out.push_back(std::byte{0xFF});
-      out.push_back(static_cast<std::byte>(252 + run - 1));
-      out.push_back(input[i]);
-      i += run;
-    } else {
-      out.push_back(input[i]);
-      ++i;
-    }
-  }
-}
-
-bool rle_decompress(const std::byte* input, std::size_t size, std::vector<std::byte>& out,
-                    std::size_t expected) {
-  std::size_t i = 0;
-  while (i < size) {
-    if (input[i] == std::byte{0xFF}) {
-      if (i + 2 >= size) {
-        return false;
-      }
-      const auto field = static_cast<unsigned>(input[i + 1]);
-      const std::size_t run = field >= 252 ? (field - 252 + 1) : (field + 4);
-      out.insert(out.end(), run, input[i + 2]);
-      i += 3;
-    } else {
-      out.push_back(input[i]);
-      ++i;
-    }
-    if (out.size() > expected) {
-      return false;
-    }
-  }
-  return out.size() == expected;
 }
 
 /// --- LZ77 ------------------------------------------------------------------
@@ -248,14 +193,7 @@ bool lz_decompress(const std::byte* input, std::size_t size, std::vector<std::by
 
 std::vector<std::byte> compress(const std::byte* input, std::size_t size, Codec codec) {
   std::vector<std::byte> out;
-  if (codec == Codec::kRle) {
-    out.resize(kHeaderSize);
-    write_header(out.data(), codec, size);
-    rle_compress(input, size, out);
-    if (out.size() < kHeaderSize + size) {
-      return out;
-    }
-  } else if (codec == Codec::kLz) {
+  if (codec == Codec::kLz) {
     // The one allocation: the encoder gives up before its payload reaches
     // `size`, so header + size bytes hold every outcome, the store too.
     out.resize(kHeaderSize + size);
@@ -303,11 +241,6 @@ std::optional<std::vector<std::byte>> decompress(const std::byte* input, std::si
         return std::nullopt;
       }
       out.assign(payload, payload + payload_size);
-      return out;
-    case Codec::kRle:
-      if (!rle_decompress(payload, payload_size, out, raw_size)) {
-        return std::nullopt;
-      }
       return out;
     case Codec::kLz:
       if (!lz_decompress(payload, payload_size, out, raw_size)) {

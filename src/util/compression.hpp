@@ -1,16 +1,15 @@
 #pragma once
 
 /// \file compression.hpp
-/// Lightweight lossless compressors for block payloads.
+/// Lightweight lossless compressor for block payloads and wire frames.
 ///
 /// The paper evaluated compressing blocks before peer transfer and
 /// rejected it: "Data compression has been considered, too, but has been
 /// found ineffective due to long runtimes and low compression rates
 /// compared to transmission time" (Sec. 4.3). To reproduce that *finding*
-/// rather than assume it, this module provides two from-scratch codecs —
-/// byte-wise RLE and a greedy LZ77 — and `bench_compression` measures ratio
-/// and throughput against the modeled interconnects on real serialized CFD
-/// blocks.
+/// rather than assume it, this module provides a from-scratch greedy LZ77
+/// codec, and `bench_compression` measures its ratio and throughput against
+/// the modeled interconnects on real serialized CFD blocks.
 ///
 /// The LZ77 encoder is a single-probe greedy matcher in the manner of LZ4:
 /// a 2^14-entry u32 table holds, per hash of the 4 bytes at a position, the
@@ -24,8 +23,10 @@
 /// the one the earlier hash-chain encoder wrote, so streams decode either
 /// way.
 ///
-/// Format (both codecs): [u8 codec id][u64 raw size][payload...]; the
-/// decoder dispatches on the id, so streams are self-describing.
+/// Format: [u8 codec id][u64 raw size][payload...]; the decoder dispatches
+/// on the id, so streams are self-describing. kLz keeps id 2 so streams
+/// already on the wire decode; id 1 is unused and rejected like any
+/// unknown id.
 
 #include <cstdint>
 #include <optional>
@@ -37,7 +38,6 @@ namespace vira::util {
 
 enum class Codec : std::uint8_t {
   kStore = 0,  ///< no compression (fallback when expansion would occur)
-  kRle = 1,
   kLz = 2,
 };
 

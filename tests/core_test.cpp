@@ -647,9 +647,11 @@ TEST(SchedulerHardening, TruncatedClientPayloadsCloseOnlyThatLink) {
   auto& malformed = vira::obs::Registry::instance().counter("sched.malformed");
   const auto before = malformed.value();
 
-  // One byte is too short for every client-facing decoder. Each offending
-  // link gets kTagError and is closed; the scheduler keeps running.
-  for (const int tag : {int{vc::kTagSubmit}, int{vc::kTagCancel}, vira::comm::kTagHello}) {
+  // One byte is too short for every client-facing decoder, and tag 99 is
+  // no client tag at all. Each offending link gets kTagError and is closed;
+  // the scheduler keeps running.
+  for (const int tag :
+       {int{vc::kTagSubmit}, int{vc::kTagCancel}, vira::comm::kTagHello, 99}) {
     auto link = backend.connect();
     vira::comm::Message msg;
     msg.tag = tag;
@@ -660,7 +662,7 @@ TEST(SchedulerHardening, TruncatedClientPayloadsCloseOnlyThatLink) {
     EXPECT_EQ(reply->tag, vc::kTagError) << "tag " << tag;
     EXPECT_TRUE(vira::test::eventually([&] { return link->closed(); })) << "tag " << tag;
   }
-  EXPECT_EQ(malformed.value() - before, 3u);
+  EXPECT_EQ(malformed.value() - before, 4u);
 
   vira::viz::ExtractionSession survivor(backend.connect());
   vu::ParamList params;

@@ -1,9 +1,9 @@
 /// \file net_test.cpp
-/// vira::net frontend tests (ISSUE 7): incremental frame parser (split /
-/// truncation / fuzz properties), epoll event loop round trips, hello
-/// negotiation + wire compression, backpressure / slow-link reaping,
-/// event-driven scheduler pickup, and the blocking fallback's mid-stream
-/// disconnect regression.
+/// vira::net frontend tests: incremental frame parser (split / truncation /
+/// fuzz properties), epoll event loop round trips, hello negotiation (raw
+/// by default, opt-in wire compression), backpressure / slow-link reaping,
+/// event-driven scheduler pickup, and the mid-stream disconnect
+/// regression.
 
 #include <gtest/gtest.h>
 
@@ -217,11 +217,12 @@ TEST(FrameParserTest, CompressedFrameRoundTrip) {
 }
 
 TEST(FrameParserTest, CompressedFrameExpandingPastCapFails) {
-  // Decompression bomb: a ~99 KB RLE frame expanding to 8 MiB must not get
+  // Decompression bomb: a ~132 KB LZ frame expanding to 8 MiB must not get
   // past a parser capped at 1 MiB, not even as an allocation.
   const std::vector<std::byte> zeros(8u << 20, std::byte{0});
-  const auto packed = util::compress(zeros.data(), zeros.size(), util::Codec::kRle);
-  ASSERT_LT(packed.size(), 100000u);
+  const auto packed = util::compress(zeros.data(), zeros.size(), util::Codec::kLz);
+  // The packed frame itself is under the cap; only its expansion is not.
+  ASSERT_LT(comm::kFrameHeaderBytes + packed.size(), 1u << 20);
   comm::Message framed;
   framed.tag = 10;
   framed.payload = util::ByteBuffer(packed);
@@ -339,6 +340,7 @@ TEST(EventLoopTest, NegotiatedCompressionRoundTrip) {
       obs::Registry::instance().counter("net.compressed_bytes").value();
 
   comm::WireOptions options;
+  options.compression = true;
   options.compress_threshold = 64;
   auto client = comm::tcp_connect("127.0.0.1", loop.port(), options);
   auto server = sink.wait_for(0);
@@ -395,6 +397,7 @@ TEST(EventLoopTest, CompressSpanNestsUnderSend) {
   sink.attach(loop);
   loop.start();
   comm::WireOptions options;
+  options.compression = true;
   options.compress_threshold = 64;
   auto client = comm::tcp_connect("127.0.0.1", loop.port(), options);
   auto server = sink.wait_for(0);
@@ -545,21 +548,16 @@ TEST(EventLoopTest, EventDrivenPickupBeatsTickPolling) {
   backend.shutdown();
 }
 
-// ---------------------------------------------------------------------------
-// Blocking fallback
-// ---------------------------------------------------------------------------
-
-TEST(BlockingFallbackTest, MidStreamDisconnectDoesNotKillServer) {
+TEST(EventLoopTest, MidStreamDisconnectDoesNotKillServer) {
   core::BackendConfig config;
   config.workers = 2;
-  config.net_frontend = core::BackendConfig::NetFrontend::kBlocking;
   core::Backend backend(config);
   const auto port = backend.serve_tcp(0);
-  EXPECT_EQ(backend.event_loop(), nullptr);
+  ASSERT_NE(backend.event_loop(), nullptr);
 
   // Client 1 submits a paced stream over a raw link, reads a couple of
-  // fragments, then vanishes. The server-side blocking link must absorb the
-  // resulting EPIPE (MSG_NOSIGNAL + partial-write handling) — not die.
+  // fragments, then vanishes. The loop must absorb the resulting EPIPE /
+  // ECONNRESET on that link (MSG_NOSIGNAL + teardown) — not die.
   {
     auto link = comm::tcp_connect("127.0.0.1", port);
     core::CommandRequest request;
@@ -600,34 +598,71 @@ TEST(BlockingFallbackTest, MidStreamDisconnectDoesNotKillServer) {
   backend.shutdown();
 }
 
-TEST(BlockingFallbackTest, HelloNegotiationGetsAckWithoutFeatures) {
-  core::BackendConfig config;
-  config.workers = 2;
-  config.net_frontend = core::BackendConfig::NetFrontend::kBlocking;
-  core::Backend backend(config);
-  const auto port = backend.serve_tcp(0);
+TEST(EventLoopTest, HelloNegotiationGetsAckWithoutFeatures) {
+  net::NetConfig config;
+  config.compress_threshold = 64;  // would compress everything if granted
+  net::EventLoop loop(0, config);
+  AcceptSink sink;
+  sink.attach(loop);
+  loop.start();
 
-  // A negotiating client must not hang or die against the blocking
-  // frontend: the scheduler acks with no features and the link speaks the
-  // plain framing (a wrongly-granted compression would break the round
-  // trip below, since the blocking server never decompresses).
+  // The hello a default-WireOptions client sends is acked with no features
+  // and the one codec id, kLz.
+  {
+    auto link = comm::tcp_connect("127.0.0.1", loop.port());
+    comm::WireHello hello;
+    hello.features = comm::WireOptions{}.compression ? comm::kFeatureWireCompression : 0u;
+    comm::Message msg;
+    msg.tag = comm::kTagHello;
+    hello.serialize(msg.payload);
+    link->send(std::move(msg));
+    auto reply = link->recv(5000ms);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->tag, comm::kTagHelloAck);
+    const auto ack = comm::WireHello::deserialize(reply->payload);
+    EXPECT_EQ(ack.magic, comm::kWireMagic);
+    EXPECT_EQ(ack.features, 0u);
+    EXPECT_EQ(ack.codec, util::Codec::kLz);
+    link->close();
+  }
+
+  // A default-WireOptions client round-trips compressible frames in both
+  // directions, and every byte travels raw.
   comm::WireOptions options;
-  options.compress_threshold = 64;  // would compress everything if granted
-  viz::ExtractionSession session(std::shared_ptr<comm::ClientLink>(
-      comm::tcp_connect("127.0.0.1", port, options).release()));
-  util::ParamList params;
-  params.set_int("workers", 1);
-  params.set_int("count", 4);
-  params.set_int("bytes", 16 << 10);
-  params.set_int("ms", 1);
-  std::vector<util::ByteBuffer> fragments;
-  auto stream = session.submit("net.stream", params);
-  const auto stats = stream->wait(&fragments, 30000ms);
-  EXPECT_TRUE(stats.success) << stats.error;
-  EXPECT_EQ(stats.partial_packets, 4u);
-  EXPECT_EQ(fragments.size(), 5u);  // 4 partials + the (empty) final
-  session.close();
-  backend.shutdown();
+  options.compress_threshold = 64;
+  auto client = comm::tcp_connect("127.0.0.1", loop.port(), options);
+  auto server = sink.wait_for(1);
+  ASSERT_NE(server, nullptr);
+  auto& compressed = obs::Registry::instance().counter("net.compressed_bytes");
+  auto& received = obs::Registry::instance().counter("net.bytes_received");
+  const auto compressed_before = compressed.value();
+
+  comm::Message down;
+  down.tag = core::kTagPartial;
+  for (int n = 0; n < 100000; ++n) {
+    down.payload.write<std::uint8_t>(static_cast<std::uint8_t>(n % 13));
+  }
+  comm::Message down_copy = down;
+  server->send(std::move(down_copy));
+  auto got = client->recv(5000ms);
+  ASSERT_TRUE(got.has_value());
+  expect_equal(*got, down);
+  EXPECT_EQ(compressed.value(), compressed_before);
+
+  const auto received_before = received.value();
+  comm::Message up = make_message(-1, core::kTagSubmit, 0, 0);
+  for (int n = 0; n < 50000; ++n) {
+    up.payload.write<std::uint8_t>(static_cast<std::uint8_t>(n % 5));
+  }
+  comm::Message up_copy = up;
+  client->send(std::move(up_copy));
+  auto delivered = server->recv(5000ms);
+  ASSERT_TRUE(delivered.has_value());
+  expect_equal(*delivered, up);
+  EXPECT_GE(received.value() - received_before, comm::kFrameHeaderBytes + up.payload.size());
+
+  client->close();
+  loop.stop();
 }
 
 }  // namespace

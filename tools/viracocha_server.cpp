@@ -7,10 +7,14 @@
 ///
 ///   viracocha-server [--port N] [--workers N] [--cache-mb N]
 ///                    [--policy lru|lfu|fbr] [--l2-dir PATH]
-///                    [--net epoll|blocking] [--net-threads N]
-///                    [--no-compression]
+///                    [--net-threads N] [--no-compression]
 ///                    [--dms-messages] [--shards N] [--repl N]
 ///                    [--trace-out FILE] [--metrics-out FILE]
+///
+/// Clients are served by the epoll frontend (net::EventLoop) on
+/// --net-threads event-loop threads. Clients that ask for LZ wire
+/// compression in their hello get it unless --no-compression is given;
+/// clients ask for none by default.
 ///
 /// The server runs until stdin reaches EOF (or the process is signalled),
 /// so `viracocha-server < /dev/null` starts and stops immediately while
@@ -36,10 +40,12 @@ void usage() {
   std::fprintf(stderr,
                "usage: viracocha-server [--port N] [--workers N] [--cache-mb N]\n"
                "                        [--policy lru|lfu|fbr] [--l2-dir PATH]\n"
-               "                        [--net epoll|blocking] [--net-threads N]\n"
-               "                        [--no-compression] [--dms-messages] [--verbose]\n"
-               "                        [--shards N] [--repl N]\n"
-               "                        [--trace-out FILE] [--metrics-out FILE]\n");
+               "                        [--net-threads N] [--no-compression]\n"
+               "                        [--dms-messages] [--verbose] [--shards N] [--repl N]\n"
+               "                        [--trace-out FILE] [--metrics-out FILE]\n"
+               "  --net-threads N    event-loop threads of the TCP frontend (default 1)\n"
+               "  --no-compression   never grant LZ wire compression, even to clients\n"
+               "                     that ask for it (clients ask for none by default)\n");
 }
 
 volatile std::sig_atomic_t g_dump_requested = 0;
@@ -93,17 +99,6 @@ int main(int argc, char** argv) {
       config.cache_policy = next();
     } else if (flag == "--l2-dir") {
       config.l2_directory = next();
-    } else if (flag == "--net") {
-      const std::string frontend = next();
-      if (frontend == "epoll") {
-        config.net_frontend = core::BackendConfig::NetFrontend::kEpoll;
-      } else if (frontend == "blocking") {
-        config.net_frontend = core::BackendConfig::NetFrontend::kBlocking;
-      } else {
-        std::fprintf(stderr, "unknown --net frontend: %s\n", frontend.c_str());
-        usage();
-        return 2;
-      }
     } else if (flag == "--net-threads") {
       config.net.threads = std::atoi(next());
     } else if (flag == "--no-compression") {
