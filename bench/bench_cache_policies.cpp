@@ -64,7 +64,8 @@ int main() {
   using namespace vira;
 
   perf::print_banner("Ablation (Sec. 4.2)",
-                     "Cache replacement policies on a CFD exploration trace");
+                     "Cache replacement policies on a CFD exploration trace",
+                     perf::Timing::kWallTime);
 
   const int blocks = 23;
   const int steps = 8;

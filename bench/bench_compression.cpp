@@ -22,7 +22,8 @@ int main() {
   grid::DatasetReader reader(perf::engine_dir());
   const auto cluster = calibrated_cluster();
 
-  perf::print_banner("Ablation (Sec. 4.3)", "Block compression vs transmission time");
+  perf::print_banner("Ablation (Sec. 4.3)", "Block compression vs transmission time",
+                     perf::Timing::kWallTime);
 
   // Gather real block payloads of step 0.
   std::vector<util::ByteBuffer> payloads;

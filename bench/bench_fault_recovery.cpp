@@ -113,7 +113,8 @@ int main() {
   const double iso = perf::density_iso_mid(reader);
 
   perf::print_banner("Fault recovery",
-                     "ViewerIso under injected transport faults and a worker death");
+                     "ViewerIso under injected transport faults and a worker death",
+                     perf::Timing::kWallTime);
   std::printf("\n  %-26s %9s %9s %11s %9s %7s %7s\n", "scenario", "time, s", "retries",
               "fragments", "lost", "ok", "1x");
 

@@ -16,7 +16,8 @@ int main() {
   const auto cluster = calibrated_cluster();
   const auto profile = perf::profile_vortex(reader, 0, threshold, 256);
 
-  perf::print_banner("Figure 12", "Propfan, latency times for vortex extraction [s]");
+  perf::print_banner("Figure 12", "Propfan, latency times for vortex extraction [s]",
+                     perf::Timing::kVirtualCluster);
   std::vector<perf::Series> series;
   series.push_back(sweep_extraction("StreamedVortex", profile, cluster, streaming_config,
                                     /*use_latency=*/true));

@@ -40,7 +40,8 @@ int main() {
     return series;
   };
 
-  perf::print_banner("Figure 13", "Engine, Pathlines, total runtime [s]");
+  perf::print_banner("Figure 13", "Engine, Pathlines, total runtime [s]",
+                     perf::Timing::kVirtualCluster);
   std::vector<perf::Series> series;
   series.push_back(run(true, true));    // fully cached data
   series.push_back(run(false, false));  // no data management

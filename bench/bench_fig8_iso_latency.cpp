@@ -16,7 +16,8 @@ int main() {
   const auto iso_profile = perf::profile_iso(reader, 0, "density", iso, 256);
   const auto viewer_profile = perf::profile_viewer_iso(reader, 0, "density", iso, 256);
 
-  perf::print_banner("Figure 8", "Propfan, latency times for isosurface extraction [s]");
+  perf::print_banner("Figure 8", "Propfan, latency times for isosurface extraction [s]",
+                     perf::Timing::kVirtualCluster);
   std::vector<perf::Series> series;
   series.push_back(sweep_extraction("ViewerIso", viewer_profile, cluster, streaming_config,
                                     /*use_latency=*/true));

@@ -17,7 +17,8 @@ int main() {
   using dms::LoadRequestInfo;
   using dms::StrategyKind;
 
-  perf::print_banner("Ablation (Sec. 4.3)", "Adaptive loading-strategy selection");
+  perf::print_banner("Ablation (Sec. 4.3)", "Adaptive loading-strategy selection",
+                     perf::Timing::kWallTime);
 
   dms::FitnessSelector selector;
 

@@ -130,7 +130,8 @@ int main(int argc, char** argv) {
       static_cast<double>(hit_ms.size()) / static_cast<double>(total);
 
   perf::print_banner("Content-addressed result cache",
-                     "Zipf(1.0) query mix: recompute vs memoized replay");
+                     "Zipf(1.0) query mix: recompute vs memoized replay",
+                     perf::Timing::kWallTime);
   std::printf("\n  %-10s %8s %12s %12s\n", "path", "count", "p50, ms", "p99, ms");
   std::printf("  %-10s %8zu %12.3f %12.3f\n", "recompute", miss_ms.size(), miss_p50,
               percentile(miss_ms, 0.99));

@@ -277,6 +277,8 @@ int main(int argc, char** argv) {
   const double central_p50 = percentile(central_ms, 0.50);
   const double sharded_p50 = percentile(sharded_ms, 0.50);
   const double speedup = percentile(round_speedups, 0.50);
+  const auto rounds_under_2x =
+      std::count_if(round_speedups.begin(), round_speedups.end(), [](double r) { return r < 2.0; });
   std::string rounds_json;
   for (const double ratio : round_speedups) {
     char item[32];
@@ -285,7 +287,8 @@ int main(int argc, char** argv) {
   }
 
   perf::print_banner("Sharded DMS & peer transfer",
-                     "Zipf block mix: central strategy+disk vs consistent-hash peer fetch");
+                     "Zipf block mix: central strategy+disk vs consistent-hash peer fetch",
+                     perf::Timing::kWallTime);
   std::printf("\n  %-14s %8s %12s %12s\n", "mode", "misses", "p50, ms", "p99, ms");
   std::printf("  %-14s %8zu %12.3f %12.3f\n", "central", central_ms.size(), central_p50,
               percentile(central_ms, 0.99));
@@ -295,7 +298,8 @@ int main(int argc, char** argv) {
               "pushes: %llu\n",
               kRounds, speedup, static_cast<unsigned long long>(peer_fetches),
               static_cast<unsigned long long>(peer_pushes));
-  std::printf("  per-round speedups: %s\n", rounds_json.c_str());
+  std::printf("  per-round speedups: %s (%d under 2x)\n", rounds_json.c_str(),
+              static_cast<int>(rounds_under_2x));
   std::printf("  kill phase (R=2): promotions=%llu respills=%llu timeouts=%llu\n",
               static_cast<unsigned long long>(kill.replica_promotions),
               static_cast<unsigned long long>(kill.respills_after_kill),
@@ -307,11 +311,12 @@ int main(int argc, char** argv) {
                 "{\n  \"bench\": \"shard\",\n  \"ranks\": %d,\n  \"blocks\": %d,\n"
                 "  \"requests_per_rank\": %d,\n  \"rounds\": %d,\n"
                 "  \"central_miss_p50_ms\": %.3f,\n  \"sharded_miss_p50_ms\": %.3f,\n"
-                "  \"round_miss_p50_speedups\": [%s],\n  \"miss_p50_speedup\": %.2f,\n"
+                "  \"round_miss_p50_speedups\": [%s],\n  \"rounds_under_2x\": %d,\n"
+                "  \"miss_p50_speedup\": %.2f,\n"
                 "  \"peer_fetches\": %llu,\n  \"peer_pushes\": %llu,\n"
                 "  \"replica_promotions\": %llu,\n  \"respills_after_kill\": %llu\n}\n",
                 kRanks, kBlocks, per_rank, kRounds, central_p50, sharded_p50,
-                rounds_json.c_str(), speedup,
+                rounds_json.c_str(), static_cast<int>(rounds_under_2x), speedup,
                 static_cast<unsigned long long>(peer_fetches),
                 static_cast<unsigned long long>(peer_pushes),
                 static_cast<unsigned long long>(kill.replica_promotions),
@@ -326,8 +331,8 @@ int main(int argc, char** argv) {
   // The claim: a non-owned miss is a wire copy from the owner's memory,
   // not a strategy round-trip plus a storage read. 2x is conservative — the
   // central path sleeps kReadSleepUs under fan-in. Gated on the median
-  // round, so one round whose peer fetches all wait out a poll slice does
-  // not decide it.
+  // round, so one round disturbed by the host's scheduler does not decide
+  // it; BENCH_shard.json records every round and how many fell under 2x.
   ok = ok && speedup >= 2.0;
   ok = ok && peer_fetches > 0;
   // Replica failover: a killed owner's blocks re-serve from the surviving

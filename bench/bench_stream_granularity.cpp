@@ -24,7 +24,8 @@ int main() {
   const auto cluster = calibrated_cluster();
 
   perf::print_banner("Ablation (Sec. 5.2 / 6.3)",
-                     "Streaming fragment granularity: latency vs overhead (Engine, 4 workers)");
+                     "Streaming fragment granularity: latency vs overhead (Engine, 4 workers)",
+                     perf::Timing::kVirtualCluster);
 
   // Non-streamed reference.
   const auto reference_profile = perf::profile_iso(reader, 0, "density", iso, 0);

@@ -232,7 +232,8 @@ int main(int argc, char** argv) {
 
   perf::print_banner("Client swarm vs. the epoll frontend",
                      "N concurrent TCP clients, mixed iso / vortex / pathline / "
-                     "cache-hit traffic through one event-loop thread");
+                     "cache-hit traffic through one event-loop thread",
+                     perf::Timing::kWallTime);
   std::printf("\n  %d clients x %d requests, %s frontend, port %u\n", clients, requests,
               frontend_name, port);
 

@@ -12,7 +12,8 @@
 int main() {
   using namespace vira;
 
-  perf::print_banner("Table 1", "Multi-block test data sets");
+  perf::print_banner("Table 1", "Multi-block test data sets",
+                     perf::Timing::kWallTime);
   const auto engine = perf::ensure_engine();
   const auto propfan = perf::ensure_propfan();
 

@@ -1,19 +1,6 @@
 #include "comm/communicator.hpp"
 
-#include "util/clock.hpp"
-
 namespace vira::comm {
-
-namespace {
-// Upper bound on a single blocking transport wait inside try_recv. It must
-// stay small: with several threads receiving on one rank (worker loop,
-// heartbeat poller, peer-transfer service), a sibling thread's pump can pull
-// this caller's message off the transport and buffer it to pending_ — the
-// caller only notices at its next slice boundary, so a long slice turns into
-// added delivery latency (long enough to trip the scheduler's idle-grace
-// watchdog when it exceeds that grace).
-constexpr auto kPumpSlice = std::chrono::milliseconds(5);
-}
 
 Communicator::Communicator(std::shared_ptr<Transport> transport, int rank)
     : transport_(std::move(transport)), rank_(rank) {
@@ -37,117 +24,20 @@ void Communicator::send_internal(int dest, int tag, util::ByteBuffer payload) {
   transport_->send(dest, std::move(msg));
 }
 
-std::optional<Message> Communicator::take_buffered(int source, int tag) {
-  std::lock_guard<std::mutex> lock(pending_mutex_);
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    const bool source_ok = source == kAnySource || it->source == source;
-    const bool tag_ok = tag == kAnyTag || it->tag == tag;
-    if (source_ok && tag_ok) {
-      Message msg = std::move(*it);
-      pending_.erase(it);
-      return msg;
-    }
-  }
-  return std::nullopt;
-}
-
-void Communicator::pump(std::chrono::milliseconds timeout) {
-  // Drain everything already delivered before considering a timed wait.
-  // Pulling a single message per call caps the mailbox drain rate at one
-  // message per caller poll slice — under fan-in load (every worker
-  // streaming fragments at rank 0) the transport queue then backlogs by
-  // seconds while the receiver thinks it is keeping up. The drain is
-  // bounded so one flooded pump cannot hold take_buffered() callers off
-  // the pending list indefinitely.
-  constexpr int kDrainBound = 1024;
-  int drained = 0;
-  while (drained < kDrainBound) {
-    auto msg = transport_->recv(rank_, std::chrono::milliseconds(0));
-    if (!msg) {
-      break;
-    }
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.push_back(std::move(*msg));
-    ++drained;
-  }
-  if (drained > 0) {
-    return;
-  }
-  if (timeout.count() > 0) {
-    auto msg = transport_->recv(rank_, timeout);
-    if (msg) {
-      std::lock_guard<std::mutex> lock(pending_mutex_);
-      pending_.push_back(std::move(*msg));
-      return;
-    }
-  }
-  if (transport_->is_shut_down()) {
+std::optional<Message> Communicator::recv_until(const Match& match, util::TimePoint deadline) {
+  auto msg = transport_->recv(rank_, match, deadline);
+  if (!msg && transport_->is_shut_down()) {
     throw TransportClosed();
   }
-}
-
-Message Communicator::recv_matching(int source, int tag) {
-  // Short pump slices: with several threads receiving on this rank, a
-  // message buffered by a sibling thread is noticed at the next iteration.
-  while (true) {
-    if (auto msg = take_buffered(source, tag)) {
-      return std::move(*msg);
-    }
-    pump(std::chrono::milliseconds(5));
-  }
-}
-
-Message Communicator::recv(int source, int tag) { return recv_matching(source, tag); }
-
-std::optional<Message> Communicator::try_recv(int source, int tag,
-                                              std::chrono::milliseconds timeout) {
-  // Deadline arithmetic uses the injectable clock: under a virtual clock
-  // the transport's waits advance virtual time, so the deadline must be
-  // measured on the same timeline.
-  const auto deadline = util::clock_now() + timeout;
-  bool pumped = false;
-  while (true) {
-    if (auto msg = take_buffered(source, tag)) {
-      return msg;
-    }
-    const auto now = util::clock_now();
-    if (now >= deadline) {
-      if (pumped) {
-        return std::nullopt;
-      }
-      // timeout == 0 still deserves one non-blocking pump: a poller that
-      // never touches the transport can starve a backlogged queue forever
-      // while reporting "nothing to do".
-      pump(std::chrono::milliseconds(0));
-      pumped = true;
-      continue;
-    }
-    // Ceil, not truncate: with a sub-millisecond clock (virtual time), a
-    // fractional remainder truncated to 0ms would make pump() return
-    // without blocking — a busy spin that can never reach the deadline.
-    const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
-    pump(std::min(remaining, kPumpSlice));
-    pumped = true;
-  }
+  return msg;
 }
 
 std::optional<std::pair<int, int>> Communicator::probe(std::chrono::milliseconds timeout) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    if (!pending_.empty()) {
-      return std::make_pair(pending_.front().source, pending_.front().tag);
-    }
-  }
-  auto msg = transport_->recv(rank_, timeout);
-  if (msg) {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.push_back(std::move(*msg));
-    return std::make_pair(pending_.back().source, pending_.back().tag);
-  }
-  if (transport_->is_shut_down()) {
+  auto header = transport_->probe(rank_, util::clock_now() + timeout);
+  if (!header && transport_->is_shut_down()) {
     throw TransportClosed();
   }
-  return std::nullopt;
+  return header;
 }
 
 void Communicator::barrier() {
@@ -157,14 +47,14 @@ void Communicator::barrier() {
     // Receive from each specific peer: per-pair FIFO then guarantees a
     // message from barrier N+1 can never be mistaken for barrier N.
     for (int peer = 1; peer < size(); ++peer) {
-      (void)recv_matching(peer, kTagBarrierArrive);
+      (void)recv(peer, kTagBarrierArrive);
     }
     for (int peer = 1; peer < size(); ++peer) {
       send_internal(peer, kTagBarrierRelease, util::ByteBuffer());
     }
   } else {
     send_internal(kRoot, kTagBarrierArrive, std::move(token));
-    (void)recv_matching(kRoot, kTagBarrierRelease);
+    (void)recv(kRoot, kTagBarrierRelease);
   }
 }
 
@@ -178,7 +68,7 @@ util::ByteBuffer Communicator::broadcast(util::ByteBuffer payload, int root) {
     }
     return payload;
   }
-  return recv_matching(root, kTagBroadcast).payload;
+  return recv(root, kTagBroadcast).payload;
 }
 
 std::vector<util::ByteBuffer> Communicator::gather(util::ByteBuffer payload, int root) {
@@ -194,7 +84,7 @@ std::vector<util::ByteBuffer> Communicator::gather(util::ByteBuffer payload, int
     if (peer == root) {
       continue;
     }
-    Message msg = recv_matching(peer, kTagGather);
+    Message msg = recv(peer, kTagGather);
     results[static_cast<std::size_t>(peer)] = std::move(msg.payload);
   }
   return results;
@@ -212,7 +102,7 @@ double Communicator::reduce_sum(double value, int root) {
     if (peer == root) {
       continue;
     }
-    Message msg = recv_matching(peer, kTagReduce);
+    Message msg = recv(peer, kTagReduce);
     sum += msg.payload.read<double>();
   }
   return sum;

@@ -3,11 +3,12 @@
 /// \file communicator.hpp
 /// Rank/tag message passing with MPI-style semantics (paper layer 1/2 glue).
 ///
-/// One Communicator instance lives on each rank's thread. On top of a
-/// Transport it provides:
+/// One Communicator instance lives on each rank. On top of a Transport it
+/// provides:
 ///   * tagged point-to-point send / blocking receive with ANY_SOURCE /
-///     ANY_TAG wildcards and out-of-order matching (unmatched messages are
-///     buffered, exactly like MPI's unexpected-message queue),
+///     ANY_TAG wildcards and out-of-order matching (the transport's
+///     mailbox holds unmatched messages, like MPI's unexpected-message
+///     queue),
 ///   * probe / try_recv for non-blocking progress,
 ///   * the collectives the Viracocha runtime needs: barrier, broadcast,
 ///     gather, reduce-sum — implemented with reserved negative tags so they
@@ -16,16 +17,12 @@
 /// Throws TransportClosed from blocking calls when the transport shuts
 /// down — the worker loop uses that as its orderly exit path.
 ///
-/// Thread-safety: send() is always safe; recv/try_recv/probe may be called
-/// from multiple threads of the same rank concurrently (the unexpected-
-/// message queue is locked) — each message is delivered to exactly one
-/// matching receiver. Waiting receivers poll in bounded slices, so a
-/// message buffered by one thread is picked up by its addressee within one
-/// slice.
+/// Thread-safety: every call may be made from several threads of the same
+/// rank at once (worker loop, heartbeat, peer-transfer service). Matching
+/// happens in the mailbox, so each message goes to exactly one receiver
+/// whose filter accepts it, and that receiver wakes when it is delivered.
 
 #include <chrono>
-#include <deque>
-#include <mutex>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -33,6 +30,7 @@
 
 #include "comm/message.hpp"
 #include "comm/transport.hpp"
+#include "util/clock.hpp"
 
 namespace vira::comm {
 
@@ -55,13 +53,21 @@ class Communicator {
 
   /// Blocks until a message matching (source, tag) arrives.
   /// Throws TransportClosed if the transport shuts down while waiting.
-  Message recv(int source = kAnySource, int tag = kAnyTag);
+  Message recv(int source = kAnySource, int tag = kAnyTag) { return recv(Match{source, tag}); }
+  Message recv(const Match& match) {
+    return std::move(recv_until(match, util::kNoDeadline).value());
+  }
 
-  /// Non-blocking variant with timeout; nullopt on timeout.
-  std::optional<Message> try_recv(int source, int tag, std::chrono::milliseconds timeout);
+  /// Waits up to `timeout` for a matching message; nullopt on timeout.
+  std::optional<Message> try_recv(int source, int tag, std::chrono::milliseconds timeout) {
+    return recv_until(Match{source, tag}, util::clock_now() + timeout);
+  }
+  /// Waits until `deadline` on the injectable clock (util::kNoDeadline: no
+  /// limit) for a matching message; nullopt on timeout.
+  std::optional<Message> recv_until(const Match& match, util::TimePoint deadline);
 
-  /// Returns (source, tag) of the first buffered or immediately available
-  /// message without consuming it.
+  /// Returns (source, tag) of the first queued message without consuming
+  /// it, waiting up to `timeout` for one.
   std::optional<std::pair<int, int>> probe(std::chrono::milliseconds timeout =
                                                std::chrono::milliseconds(0));
 
@@ -76,15 +82,10 @@ class Communicator {
   double reduce_sum(double value, int root);
 
  private:
-  Message recv_matching(int source, int tag);
-  std::optional<Message> take_buffered(int source, int tag);
-  void pump(std::chrono::milliseconds timeout);
   void send_internal(int dest, int tag, util::ByteBuffer payload);
 
   std::shared_ptr<Transport> transport_;
   int rank_;
-  std::mutex pending_mutex_;
-  std::deque<Message> pending_;  // unexpected-message queue
 };
 
 /// Reserved (negative) tags used by the collectives.

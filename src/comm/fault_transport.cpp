@@ -89,11 +89,18 @@ FaultInjectingTransport::FaultInjectingTransport(std::shared_ptr<Transport> inne
 }
 
 FaultInjectingTransport::~FaultInjectingTransport() {
-  stopping_ = true;
-  delay_cv_.notify_all();
+  stop_delays();
   if (delay_thread_.joinable()) {
     delay_thread_.join();
   }
+}
+
+void FaultInjectingTransport::stop_delays() {
+  {
+    std::lock_guard<std::mutex> lock(delay_mutex_);
+    stopping_ = true;
+  }
+  delay_cv_.notify_all();
 }
 
 void FaultInjectingTransport::send(int dest, Message msg) {
@@ -112,23 +119,26 @@ void FaultInjectingTransport::send(int dest, Message msg) {
   }
 }
 
-std::optional<Message> FaultInjectingTransport::recv(int self, std::chrono::milliseconds timeout) {
-  auto msg = inner_->recv(self, timeout);
-  if (!msg) {
-    return std::nullopt;
+std::optional<Message> FaultInjectingTransport::recv(int self, const Match& match,
+                                                     util::TimePoint deadline) {
+  while (auto msg = inner_->recv(self, match, deadline)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // A crashed rank reads nothing; mail from a crashed rank (queued before
+    // the crash) is discarded, like an undelivered socket buffer.
+    if (!schedule_.suppress_if_dead(msg->source, self)) {
+      return msg;
+    }
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  // A crashed rank reads nothing; mail from a crashed rank (queued before
-  // the crash) is discarded, like an undelivered socket buffer.
-  if (schedule_.suppress_if_dead(msg->source, self)) {
-    return std::nullopt;
-  }
-  return msg;
+  return std::nullopt;
+}
+
+std::optional<std::pair<int, int>> FaultInjectingTransport::probe(int self,
+                                                                  util::TimePoint deadline) {
+  return inner_->probe(self, deadline);
 }
 
 void FaultInjectingTransport::shutdown() {
-  stopping_ = true;
-  delay_cv_.notify_all();
+  stop_delays();
   inner_->shutdown();
 }
 
@@ -162,45 +172,36 @@ void FaultInjectingTransport::deliver_later(int dest, Message msg,
                                             std::chrono::milliseconds delay) {
   {
     std::lock_guard<std::mutex> lock(delay_mutex_);
-    delayed_.push_back({std::chrono::steady_clock::now() + delay, dest, std::move(msg)});
-    if (!delay_thread_running_.exchange(true)) {
+    delayed_.emplace(util::clock_now() + delay, std::make_pair(dest, std::move(msg)));
+    if (!delay_thread_.joinable()) {
       delay_thread_ = std::thread([this] { delay_loop(); });
     }
   }
-  delay_cv_.notify_one();
+  delay_cv_.notify_all();
 }
 
 void FaultInjectingTransport::delay_loop() {
   std::unique_lock<std::mutex> lock(delay_mutex_);
   while (!stopping_) {
-    if (delayed_.empty()) {
-      delay_cv_.wait(lock, [&] { return stopping_ || !delayed_.empty(); });
+    // Sleep until the earliest held message falls due, unless a stop or an
+    // even earlier message arrives first.
+    const auto due = delayed_.empty() ? util::kNoDeadline : delayed_.begin()->first;
+    if (delay_cv_.wait_until(lock, due, [&] {
+          return stopping_ || (!delayed_.empty() && delayed_.begin()->first < due);
+        })) {
       continue;
     }
-    auto earliest = std::min_element(
-        delayed_.begin(), delayed_.end(),
-        [](const Delayed& a, const Delayed& b) { return a.due < b.due; });
-    const auto now = std::chrono::steady_clock::now();
-    if (earliest->due > now) {
-      // Copy the deadline: wait_until releases the lock, and a concurrent
-      // deliver_later() push_back may reallocate delayed_ under us —
-      // wait_until re-reads its deadline argument after re-locking.
-      const auto due = earliest->due;
-      delay_cv_.wait_until(lock, due);
-      continue;
-    }
-    Delayed item = std::move(*earliest);
-    delayed_.erase(earliest);
+    auto [dest, msg] = std::move(delayed_.extract(delayed_.begin()).mapped());
     lock.unlock();
     // Re-check the death list at delivery time: the destination (or sender)
     // may have been killed while the message was in flight.
     bool suppressed = false;
     {
       std::lock_guard<std::mutex> guard(mutex_);
-      suppressed = schedule_.suppress_if_dead(item.msg.source, item.dest);
+      suppressed = schedule_.suppress_if_dead(msg.source, dest);
     }
     if (!suppressed && !inner_->is_shut_down()) {
-      inner_->send(item.dest, std::move(item.msg));
+      inner_->send(dest, std::move(msg));
     }
     lock.lock();
   }

@@ -23,16 +23,16 @@
 /// shares: a seed that reproduces a bug under virtual time draws the same
 /// random stream, and so makes the same decisions, here.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
-#include <vector>
+#include <utility>
 
 #include "comm/transport.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 
 namespace vira::comm {
@@ -102,7 +102,8 @@ class FaultInjectingTransport final : public Transport {
 
   int size() const override { return inner_->size(); }
   void send(int dest, Message msg) override;
-  std::optional<Message> recv(int self, std::chrono::milliseconds timeout) override;
+  std::optional<Message> recv(int self, const Match& match, util::TimePoint deadline) override;
+  std::optional<std::pair<int, int>> probe(int self, util::TimePoint deadline) override;
   void shutdown() override;
   bool is_shut_down() const override { return inner_->is_shut_down(); }
 
@@ -117,24 +118,20 @@ class FaultInjectingTransport final : public Transport {
  private:
   void deliver_later(int dest, Message msg, std::chrono::milliseconds delay);
   void delay_loop();
+  void stop_delays();
 
   std::shared_ptr<Transport> inner_;
 
   mutable std::mutex mutex_;  ///< guards schedule_
   FaultSchedule schedule_;
 
-  /// Delayed-delivery machinery (started lazily on the first delay).
-  struct Delayed {
-    std::chrono::steady_clock::time_point due;
-    int dest;
-    Message msg;
-  };
+  /// Delayed delivery: held (dest, message) pairs by due time, sent by a
+  /// thread started on the first delay. All guarded by delay_mutex_.
   std::mutex delay_mutex_;
-  std::condition_variable delay_cv_;
-  std::vector<Delayed> delayed_;  ///< unsorted; the loop scans for the earliest
+  util::ClockCondition delay_cv_;
+  std::multimap<util::TimePoint, std::pair<int, Message>> delayed_;
   std::thread delay_thread_;
-  std::atomic<bool> delay_thread_running_{false};
-  std::atomic<bool> stopping_{false};
+  bool stopping_ = false;
 };
 
 }  // namespace vira::comm

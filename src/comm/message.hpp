@@ -33,4 +33,17 @@ struct Message {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = INT32_MIN;
 
+/// The filter of one receive: a source (or kAnySource), a tag (kAnyTag: any)
+/// and optionally a second tag, so one receive serves a loop handling both.
+struct Match {
+  int source;
+  int tag;
+  int other_tag = kAnyTag;  ///< kAnyTag here adds nothing
+
+  bool operator()(const Message& msg) const {
+    return (source == kAnySource || msg.source == source) &&
+           (tag == kAnyTag || msg.tag == tag || msg.tag == other_tag);
+  }
+};
+
 }  // namespace vira::comm

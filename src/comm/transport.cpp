@@ -50,11 +50,14 @@ void InProcTransport::send(int dest, Message msg) {
   mailboxes_[static_cast<std::size_t>(dest)]->push(std::move(msg));
 }
 
-std::optional<Message> InProcTransport::recv(int self, std::chrono::milliseconds timeout) {
-  if (self < 0 || self >= size()) {
-    throw std::out_of_range("InProcTransport::recv: bad endpoint");
-  }
-  return mailboxes_[static_cast<std::size_t>(self)]->pop_for(timeout);
+std::optional<Message> InProcTransport::recv(int self, const Match& match,
+                                             util::TimePoint deadline) {
+  return mailboxes_.at(static_cast<std::size_t>(self))->pop_until(match, deadline);
+}
+
+std::optional<std::pair<int, int>> InProcTransport::probe(int self, util::TimePoint deadline) {
+  const auto msg = mailboxes_.at(static_cast<std::size_t>(self))->peek_until(deadline);
+  return msg ? std::make_optional(std::make_pair(msg->source, msg->tag)) : std::nullopt;
 }
 
 void InProcTransport::shutdown() {

@@ -13,9 +13,9 @@
 /// (fault_transport.hpp) drops/delays/duplicates messages and crashes ranks
 /// to exercise the runtime's failure model (DESIGN.md "Failure model").
 
-#include <chrono>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "comm/message.hpp"
@@ -35,10 +35,15 @@ class Transport {
   /// error).
   virtual void send(int dest, Message msg) = 0;
 
-  /// Takes the next message addressed to endpoint `self`, blocking up to
-  /// `timeout`. Returns nullopt on timeout or when the transport has shut
-  /// down and the mailbox is drained.
-  virtual std::optional<Message> recv(int self, std::chrono::milliseconds timeout) = 0;
+  /// Takes the first message queued for endpoint `self` that `match`
+  /// accepts, waiting until `deadline` (util::kNoDeadline: no limit); the
+  /// rest stay queued, in order, for the endpoint's other receivers. nullopt
+  /// on timeout, or once shut down with no accepted message queued.
+  virtual std::optional<Message> recv(int self, const Match& match, util::TimePoint deadline) = 0;
+
+  /// (source, tag) of the first message queued for `self`, left in place;
+  /// waits until `deadline` for one.
+  virtual std::optional<std::pair<int, int>> probe(int self, util::TimePoint deadline) = 0;
 
   /// Releases all blocked receivers; subsequent sends are dropped.
   virtual void shutdown() = 0;
@@ -47,14 +52,15 @@ class Transport {
   virtual bool is_shut_down() const = 0;
 };
 
-/// Shared-memory transport: one blocking mailbox per endpoint.
+/// Shared-memory transport: one matched-pop BlockingQueue per endpoint.
 class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(int size);
 
   int size() const override { return static_cast<int>(mailboxes_.size()); }
   void send(int dest, Message msg) override;
-  std::optional<Message> recv(int self, std::chrono::milliseconds timeout) override;
+  std::optional<Message> recv(int self, const Match& match, util::TimePoint deadline) override;
+  std::optional<std::pair<int, int>> probe(int self, util::TimePoint deadline) override;
   void shutdown() override;
   bool is_shut_down() const override;
 

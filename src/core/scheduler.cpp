@@ -128,10 +128,13 @@ void Scheduler::run() {
   }
   VIRA_INFO("scheduler") << "serving " << worker_count_ << " workers";
   while (running_) {
+    // Dispatch right after client pickup: a request (or cache hit) that
+    // arrived during the last idle wait goes out in this tick, not after
+    // poll_workers waits out another idle_poll.
     poll_clients();
+    dispatch_pending();
     poll_workers();
     check_liveness();
-    dispatch_pending();
     // Refresh the race-free diagnostic mirrors once per tick; the private
     // containers themselves are scheduler-thread-only.
     free_count_.store(free_.size(), std::memory_order_relaxed);

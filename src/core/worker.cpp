@@ -48,15 +48,11 @@ void Worker::run() {
   }
   try {
     // Receive only control tags: anything else (e.g. a DMS reply destined
-    // for the proxy's prefetch thread) stays buffered for its addressee.
-    while (true) {
-      if (comm_->try_recv(comm::kAnySource, kTagShutdown, std::chrono::milliseconds(0))) {
-        break;
-      }
-      auto msg = comm_->try_recv(comm::kAnySource, kTagExecute, std::chrono::milliseconds(50));
-      if (msg) {
-        execute_order(ExecuteOrder::deserialize(msg->payload));
-      }
+    // for the proxy's prefetch thread) stays queued for its addressee.
+    const comm::Match orders{comm::kAnySource, kTagExecute, kTagShutdown};
+    for (comm::Message msg = comm_->recv(orders); msg.tag != kTagShutdown;
+         msg = comm_->recv(orders)) {
+      execute_order(ExecuteOrder::deserialize(msg.payload));
     }
   } catch (const comm::TransportClosed&) {
     // Orderly teardown path.
@@ -72,7 +68,10 @@ void Worker::run() {
 void Worker::heartbeat_loop() {
   // The beacon must keep flowing while the service thread is stuck in a
   // long compute loop or a collective — that is the whole point: liveness
-  // is about the process, progress is judged by the scheduler.
+  // is about the process, progress is judged by the scheduler. Between
+  // beats this thread blocks on kTagGroupAbort, so an abort lands the
+  // instant it is delivered.
+  const comm::Match aborts{comm::kAnySource, kTagGroupAbort};
   while (!stopping_) {
     try {
       Heartbeat beat;
@@ -81,12 +80,8 @@ void Worker::heartbeat_loop() {
       util::ByteBuffer payload;
       beat.serialize(payload);
       comm_->send(0, kTagHeartbeat, std::move(payload));
-      // Poll with a small nonzero timeout: this thread must pump the
-      // transport itself, because the service thread stops pumping while it
-      // is inside command compute code.
-      auto abort_msg =
-          comm_->try_recv(comm::kAnySource, kTagGroupAbort, std::chrono::milliseconds(1));
-      if (abort_msg) {
+      const auto next_beat = util::clock_now() + config_.heartbeat_interval;
+      while (auto abort_msg = comm_->recv_until(aborts, next_beat)) {
         const auto request_id = abort_msg->payload.read<std::uint64_t>();
         abort_request_.store(request_id);
         VIRA_DEBUG("worker") << "rank " << comm_->rank() << " told to abandon request "
@@ -94,11 +89,6 @@ void Worker::heartbeat_loop() {
       }
     } catch (const comm::TransportClosed&) {
       return;
-    }
-    const auto interval = config_.heartbeat_interval;
-    for (auto slept = std::chrono::milliseconds(0); slept < interval && !stopping_;
-         slept += std::chrono::milliseconds(5)) {
-      util::clock_sleep(std::chrono::milliseconds(5));
     }
   }
 }

@@ -12,9 +12,9 @@
 /// Liveness: while run() is active a dedicated heartbeat thread sends
 /// kTagHeartbeat beacons (rank + currently executed request) every
 /// `WorkerConfig::heartbeat_interval`, even while the service thread is
-/// deep inside a long command. The same thread polls for kTagGroupAbort so
-/// a worker stuck in a collective on a dead peer unblocks and returns to
-/// the pool (see DESIGN.md "Failure model").
+/// deep inside a long command. Between beats the same thread blocks on
+/// kTagGroupAbort so a worker stuck in a collective on a dead peer unblocks
+/// and returns to the pool (see DESIGN.md "Failure model").
 
 #include <atomic>
 #include <memory>

@@ -14,13 +14,6 @@
 
 namespace vira::dms {
 
-namespace {
-/// Pacing slice for the clock-routed waits below (in-flight-load dedup,
-/// prefetch pickup, quiesce). Under a virtual clock each slice is one
-/// deterministic scheduling step; in real time it is a short poll.
-constexpr auto kWaitSlice = std::chrono::milliseconds(2);
-}  // namespace
-
 DataProxy::DataProxy(DataProxyConfig config, std::shared_ptr<ServerApi> server,
                      std::shared_ptr<DataSource> source, std::shared_ptr<DmsStatistics> stats)
     : config_(std::move(config)),
@@ -47,8 +40,11 @@ DataProxy::DataProxy(DataProxyConfig config, std::shared_ptr<ServerApi> server,
 }
 
 DataProxy::~DataProxy() {
-  peer_stop_.store(true, std::memory_order_release);
   if (peer_thread_.joinable()) {
+    // Wake the service thread with a message to its own rank (a lossy
+    // transport may drop it, so core::Backend shuts the transport first).
+    peer_stop_.store(true, std::memory_order_release);
+    peer_comm_->send(peer_comm_->rank(), comm::kTagPeerPush, util::ByteBuffer());
     util::global_clock().join_thread(peer_thread_);
   }
   prefetch_queue_.close();
@@ -208,38 +204,41 @@ util::Future<Blob> DataProxy::request_async(const DataItemName& name, util::Task
   });
 }
 
+/// Holds `id` in the in-flight set for its lifetime. Construction waits
+/// (through the clock seam) until no other holder has it; destruction wakes
+/// the waiters.
+class DataProxy::InFlight {
+ public:
+  InFlight(DataProxy& proxy, ItemId id) : proxy_(proxy), id_(id) {
+    std::unique_lock<std::mutex> lock(proxy_.loading_mutex_);
+    proxy_.loading_cv_.wait(lock, [&] { return proxy_.loading_.count(id_) == 0; });
+    proxy_.loading_.insert(id_);
+  }
+  ~InFlight() {
+    {
+      std::lock_guard<std::mutex> lock(proxy_.loading_mutex_);
+      proxy_.loading_.erase(id_);
+    }
+    proxy_.loading_cv_.notify_all();
+  }
+  InFlight(const InFlight&) = delete;
+  InFlight& operator=(const InFlight&) = delete;
+
+ private:
+  DataProxy& proxy_;
+  ItemId id_;
+};
+
 Blob DataProxy::load_item(ItemId id, const DataItemName& name, bool from_prefetch) {
   // If someone else is loading this item, wait for them and use the cache.
-  {
-    std::unique_lock<std::mutex> lock(loading_mutex_);
-    while (loading_.count(id) > 0) {
-      lock.unlock();
-      util::clock_sleep(kWaitSlice);
-      lock.lock();
+  const InFlight loading(*this, id);
+  if (Blob blob = cache_->peek(id)) {
+    if (fresh(id)) {
+      return blob;
     }
-    if (Blob blob = cache_->peek(id)) {
-      if (fresh(id)) {
-        return blob;
-      }
-      evict_stale(id);
-    }
-    loading_.insert(id);
+    evict_stale(id);
   }
-
-  Blob blob;
-  try {
-    blob = execute_load(id, name, from_prefetch);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(loading_mutex_);
-    loading_.erase(id);
-    throw;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(loading_mutex_);
-    loading_.erase(id);
-  }
-  return blob;
+  return execute_load(id, name, from_prefetch);
 }
 
 Blob DataProxy::execute_load(ItemId id, const DataItemName& name, bool from_prefetch) {
@@ -424,14 +423,9 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
                                 bool& timed_out, std::uint64_t& version_out) {
   timed_out = false;
   version_out = 0;
-  // One outstanding fetch per proxy. Acquired cooperatively (try + clock
-  // slice) because the holder parks in clock-routed waits below: a blocking
-  // lock here would stall a virtual-time machine in real time.
-  std::unique_lock<std::mutex> lock(peer_fetch_mutex_, std::try_to_lock);
-  while (!lock.owns_lock()) {
-    util::clock_sleep(kWaitSlice);
-    (void)lock.try_lock();
-  }
+  // One outstanding fetch per proxy: replies are told apart by seq, so a
+  // concurrent fetcher would take and drop this one's reply.
+  const InFlight one_fetch(*this, kPeerFetchSlot);
   PeerFetchRequest req;
   req.id = id;
   req.seq = peer_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -441,17 +435,9 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
   req.serialize(payload);
   peer_comm_->send(owner + 1, comm::kTagPeerFetch, std::move(payload));
 
-  std::chrono::milliseconds waited{0};
-  while (true) {
-    auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerBlock, kWaitSlice);
-    if (!msg) {
-      waited += kWaitSlice;
-      if (waited >= peer_fetch_timeout_) {
-        timed_out = true;
-        return nullptr;
-      }
-      continue;
-    }
+  const auto deadline = util::clock_now() + peer_fetch_timeout_;
+  while (auto msg = peer_comm_->recv_until(comm::Match{comm::kAnySource, comm::kTagPeerBlock},
+                                           deadline)) {
     auto reply = PeerBlockReply::deserialize(msg->payload);
     if (reply.seq != req.seq) {
       // A reply to an earlier fetch that already timed out, or a transport
@@ -464,6 +450,8 @@ Blob DataProxy::fetch_from_peer(int owner, ItemId id, std::uint64_t min_version,
     version_out = reply.version;
     return make_blob(std::move(reply.bytes));
   }
+  timed_out = true;
+  return nullptr;
 }
 
 void DataProxy::push_to_owners(ItemId id, const Blob& blob, const std::vector<int>& owners,
@@ -484,15 +472,17 @@ void DataProxy::push_to_owners(ItemId id, const Blob& blob, const std::vector<in
 }
 
 void DataProxy::peer_service_loop() {
-  while (!peer_stop_.load(std::memory_order_acquire)) {
+  const comm::Match requests{comm::kAnySource, comm::kTagPeerFetch, comm::kTagPeerPush};
+  while (true) {
     try {
-      if (auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerFetch, kWaitSlice)) {
-        serve_peer_fetch(*msg);
-        continue;
+      comm::Message msg = peer_comm_->recv(requests);
+      if (peer_stop_.load(std::memory_order_acquire)) {
+        return;
       }
-      if (auto msg = peer_comm_->try_recv(comm::kAnySource, comm::kTagPeerPush,
-                                          std::chrono::milliseconds(0))) {
-        apply_peer_push(*msg);
+      if (msg.tag == comm::kTagPeerFetch) {
+        serve_peer_fetch(msg);
+      } else {
+        apply_peer_push(msg);
       }
     } catch (const comm::TransportClosed&) {
       return;
@@ -556,64 +546,50 @@ void DataProxy::run_prefetch_suggestions() {
     if (cache_->contains_l1(id)) {
       continue;  // already resident
     }
-    stats_->record_prefetch_issued();
-    if (config_.async_prefetch) {
-      {
-        std::lock_guard<std::mutex> lock(idle_mutex_);
-        ++prefetch_inflight_;
-      }
-      if (!prefetch_queue_.push(id)) {
-        std::lock_guard<std::mutex> lock(idle_mutex_);
-        --prefetch_inflight_;
-      }
-    } else {
-      prefetch_one(id);
-    }
+    issue_prefetch(id);
   }
 }
 
 void DataProxy::code_prefetch(const DataItemName& name) {
   const ItemId id = resolver_.resolve(name);
-  if (cache_->contains_l1(id)) {
-    return;
-  }
-  stats_->record_prefetch_issued();
-  if (config_.async_prefetch) {
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      ++prefetch_inflight_;
-    }
-    if (!prefetch_queue_.push(id)) {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      --prefetch_inflight_;
-    }
-  } else {
-    prefetch_one(id);
+  if (!cache_->contains_l1(id)) {
+    issue_prefetch(id);
   }
 }
 
-void DataProxy::prefetch_worker() {
-  while (true) {
-    // Clock-paced pickup instead of a blocking pop: queued suggestions are
-    // drained immediately, the idle thread sleeps through the injectable
-    // clock (so virtual-time runs schedule it deterministically).
-    auto id = prefetch_queue_.try_pop();
-    if (!id) {
-      if (prefetch_queue_.closed()) {
-        break;
-      }
-      util::clock_sleep(kWaitSlice);
-      continue;
+void DataProxy::issue_prefetch(ItemId id) {
+  stats_->record_prefetch_issued();
+  if (!config_.async_prefetch) {
+    prefetch_one(id);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    ++prefetch_inflight_;
+  }
+  if (!prefetch_queue_.push(id)) {
+    prefetch_settled();
+  }
+}
+
+void DataProxy::prefetch_settled() {
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    if (--prefetch_inflight_ > 0) {
+      return;
     }
+  }
+  idle_cv_.notify_all();
+}
+
+void DataProxy::prefetch_worker() {
+  while (auto id = prefetch_queue_.pop()) {
     try {
       prefetch_one(*id);
     } catch (const std::exception& e) {
       VIRA_WARN("dms") << "prefetch of item " << *id << " failed: " << e.what();
     }
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      --prefetch_inflight_;
-    }
+    prefetch_settled();
   }
 }
 
@@ -635,11 +611,7 @@ void DataProxy::prefetch_one(ItemId id) {
 
 void DataProxy::quiesce() {
   std::unique_lock<std::mutex> lock(idle_mutex_);
-  while (prefetch_inflight_ > 0) {
-    lock.unlock();
-    util::clock_sleep(kWaitSlice);
-    lock.lock();
-  }
+  idle_cv_.wait(lock, [this] { return prefetch_inflight_ == 0; });
 }
 
 void DataProxy::clear_cache() {

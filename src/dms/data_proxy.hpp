@@ -128,6 +128,11 @@ class DataProxy {
   ServerApi& server() { return *server_; }
 
  private:
+  class InFlight;
+  /// Reserved in-flight entry that serializes peer fetches (item ids count
+  /// up from 0 and never reach it).
+  static constexpr ItemId kPeerFetchSlot = ~ItemId{0};
+
   Blob load_item(ItemId id, const DataItemName& name, bool from_prefetch);
   Blob execute_load(ItemId id, const DataItemName& name, bool from_prefetch);
   Blob execute_load_sharded(ItemId id, const DataItemName& name, bool from_prefetch);
@@ -148,6 +153,10 @@ class DataProxy {
   void evict_stale(ItemId id);
   void raise_data_version(std::uint64_t version);
   void run_prefetch_suggestions();
+  /// Loads `id` now (sync mode) or queues it for the prefetch thread.
+  void issue_prefetch(ItemId id);
+  /// One queued prefetch finished or was refused; wakes quiesce() at zero.
+  void prefetch_settled();
   void prefetch_worker();
   void prefetch_one(ItemId id);
 
@@ -162,16 +171,18 @@ class DataProxy {
   std::mutex prefetcher_mutex_;
   std::unique_ptr<Prefetcher> prefetcher_;
 
-  /// In-flight load deduplication. Waiters poll in clock-paced slices
-  /// (util::clock_sleep) instead of a condition variable so virtual-time
-  /// runs stay deterministic; see DESIGN.md "Testing strategy".
+  /// In-flight load deduplication (InFlight): a load of an item already in
+  /// loading_ waits on loading_cv_ (through the clock seam, so virtual-time
+  /// runs stay deterministic) and resumes the moment that load finishes.
   std::mutex loading_mutex_;
+  util::ClockCondition loading_cv_;
   std::unordered_set<ItemId> loading_;
 
   /// Background prefetch machinery.
   util::BlockingQueue<ItemId> prefetch_queue_;
   std::thread prefetch_thread_;
   std::mutex idle_mutex_;
+  util::ClockCondition idle_cv_;  ///< prefetch_inflight_ reached 0
   int prefetch_inflight_ = 0;
 
   /// Sharded-DMS state (null/empty in legacy mode; see configure_sharding).
@@ -180,11 +191,10 @@ class DataProxy {
   std::chrono::milliseconds peer_fetch_timeout_{50};
   std::thread peer_thread_;
   std::atomic<bool> peer_stop_{false};
-  /// Fetch sequence numbers: one outstanding fetch per proxy (guarded by
-  /// peer_fetch_mutex_), replies matched by seq so late or duplicated
+  /// Fetch sequence numbers: one outstanding fetch per proxy (it holds
+  /// kPeerFetchSlot), replies matched by seq so late or duplicated
   /// kTagPeerBlock messages from earlier fetches are discarded, never
   /// mistaken for the current answer.
-  std::mutex peer_fetch_mutex_;
   std::atomic<std::uint64_t> peer_seq_{0};
   /// Version floor (mirrors NameService::data_version) and per-item stamps
   /// assigned at insert time. A stamp below the floor marks the entry

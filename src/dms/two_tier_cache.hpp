@@ -26,7 +26,7 @@ namespace vira::dms {
 class TwoTierCache {
  public:
   struct Config {
-    std::uint64_t l1_capacity_bytes;
+    std::uint64_t l1_capacity_bytes = 0;
     std::string policy = "fbr";        ///< L1 replacement policy
     std::string l2_directory;          ///< empty = secondary tier disabled
     std::uint64_t l2_capacity_bytes = 0;

@@ -8,11 +8,15 @@
 
 namespace vira::perf {
 
-void print_banner(const std::string& figure, const std::string& caption) {
+void print_banner(const std::string& figure, const std::string& caption, Timing timing) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", figure.c_str(), caption.c_str());
-  std::printf("(measured on the calibrated virtual cluster, driven by real\n");
-  std::printf(" per-block costs; see DESIGN.md / EXPERIMENTS.md)\n");
+  if (timing == Timing::kVirtualCluster) {
+    std::printf("(measured on the calibrated virtual cluster, driven by real\n");
+    std::printf(" per-block costs; see DESIGN.md / EXPERIMENTS.md)\n");
+  } else {
+    std::printf("(wall time measured on this host)\n");
+  }
   std::printf("================================================================\n");
 }
 

@@ -21,8 +21,12 @@ struct Series {
   std::vector<SeriesPoint> points;
 };
 
+/// Where a bench's numbers come from: the calibrated virtual cluster
+/// (perf::replay_*) or wall time measured on the host running it.
+enum class Timing { kVirtualCluster, kWallTime };
+
 /// Prints a figure banner: id ("Figure 6"), caption and provenance note.
-void print_banner(const std::string& figure, const std::string& caption);
+void print_banner(const std::string& figure, const std::string& caption, Timing timing);
 
 /// Prints runtime series the way the paper's bar charts read: one row per
 /// worker count, one bar per command.

@@ -1,7 +1,8 @@
 #include "sim/dst_clock.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace vira::sim {
@@ -40,7 +41,8 @@ void VirtualClock::schedule_next_locked() {
     }
     // Nothing runnable: advance virtual time to the earliest pending event
     // (timer or parked deadline). If there is none the machine idles — the
-    // remaining participants are outside (join_thread) or finished.
+    // remaining participants are outside (join_thread) or finished — or,
+    // with a participant parked untimed and nobody outside, is deadlocked.
     bool have_due = false;
     Nanos due = 0;
     if (!timers_.empty()) {
@@ -48,12 +50,18 @@ void VirtualClock::schedule_next_locked() {
       have_due = true;
     }
     for (const Participant* p : waiting_) {
-      if (!have_due || p->deadline < due) {
+      if (p->deadline != kForever && (!have_due || p->deadline < due)) {
         due = p->deadline;
         have_due = true;
       }
     }
     if (!have_due) {
+      if (!waiting_.empty() && outside_ == 0) {
+        std::cerr << "VirtualClock: deadlock, every live participant is parked without a "
+                     "deadline and nothing can wake it\n";
+        dump_state_locked(std::cerr);
+        std::abort();
+      }
       return;
     }
     if (due > now_ns_.load(std::memory_order_relaxed)) {
@@ -92,13 +100,14 @@ void VirtualClock::schedule_next_locked() {
   }
 }
 
-void VirtualClock::block_self_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns) {
+void VirtualClock::wait_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns,
+                               const util::ClockCondition* condition) {
   Participant* self = tls_self_;
   if (self == nullptr) {
     throw std::logic_error("VirtualClock: blocking call from a non-participant thread");
   }
+  self->condition = condition;
   self->waiting = true;
-  self->signaled = false;
   self->deadline = deadline_ns;
   self->wait_seq = next_seq_++;
   waiting_.push_back(self);
@@ -110,22 +119,34 @@ void VirtualClock::block_self_locked(std::unique_lock<std::mutex>& lock, Nanos d
 void VirtualClock::sleep_for(std::chrono::nanoseconds duration) {
   auto lock = acquire();
   const Nanos delta = std::max<Nanos>(duration.count(), 0);
-  block_self_locked(lock, now_ns_.load(std::memory_order_relaxed) + delta);
+  wait_locked(lock, now_ns_.load(std::memory_order_relaxed) + delta, nullptr);
 }
 
-void VirtualClock::wait_for_signal_locked(std::unique_lock<std::mutex>& lock,
-                                          Nanos deadline_ns) {
-  block_self_locked(lock, deadline_ns);
+void VirtualClock::wait_until(std::unique_lock<std::mutex>& lock,
+                              util::ClockCondition& condition, util::TimePoint deadline) {
+  auto machine = acquire();
+  // A notify needs the machine lock, held until we are parked: none is lost.
+  lock.unlock();
+  wait_locked(machine, to_ns(deadline), &condition);
+  machine.unlock();
+  lock.lock();
 }
 
-void VirtualClock::wake_locked(Participant* p) {
-  if (p == nullptr || !p->waiting) {
-    return;
+void VirtualClock::notify_all(util::ClockCondition& condition) {
+  auto lock = acquire();
+  notify_all_locked(condition);
+  schedule_next_locked();  // a non-participant's notify may find the machine idle
+}
+
+void VirtualClock::notify_all_locked(const util::ClockCondition& condition) {
+  const auto woken = std::stable_partition(waiting_.begin(), waiting_.end(), [&](Participant* p) {
+    return p->condition != &condition;
+  });
+  for (auto it = woken; it != waiting_.end(); ++it) {
+    (*it)->waiting = false;
+    ready_.push_back(*it);
   }
-  waiting_.erase(std::remove(waiting_.begin(), waiting_.end(), p), waiting_.end());
-  p->waiting = false;
-  p->signaled = true;
-  ready_.push_back(p);
+  waiting_.erase(woken, waiting_.end());
 }
 
 void VirtualClock::add_timer_locked(Nanos due, std::function<void()> fn) {
@@ -184,6 +205,7 @@ void VirtualClock::join_thread(std::thread& thread) {
   }
   {
     auto lock = acquire();
+    ++outside_;
     release_token_locked();
   }
   // Really block: the joined thread needs the machine to schedule it to
@@ -193,6 +215,7 @@ void VirtualClock::join_thread(std::thread& thread) {
   }
   {
     auto lock = acquire();
+    --outside_;
     ready_.push_back(self);
     if (!token_held_) {
       schedule_next_locked();
@@ -204,12 +227,18 @@ void VirtualClock::join_thread(std::thread& thread) {
 
 void VirtualClock::dump_state(std::ostream& out) {
   auto lock = acquire();
+  dump_state_locked(out);
+}
+
+void VirtualClock::dump_state_locked(std::ostream& out) {
   out << "VirtualClock: now=" << now_ns_.load() / 1000000 << "ms token_held=" << token_held_
       << " switches=" << switches_.load() << " timers=" << timers_.size() << "\n";
   for (const auto& [name, p] : participants_) {
     out << "  " << name << ": ";
     if (p->finished) {
       out << "finished";
+    } else if (p->waiting && p->deadline == kForever) {
+      out << "parked untimed";
     } else if (p->waiting) {
       out << "parked deadline=" << p->deadline / 1000000 << "ms";
     } else if (std::find(ready_.begin(), ready_.end(), p.get()) != ready_.end()) {

@@ -7,12 +7,16 @@
 /// nondeterministic is the OS scheduler and the wall clock. VirtualClock
 /// removes both: it implements util::Clock with a *token machine* — exactly
 /// one participant thread holds the run token at any instant, every
-/// blocking point in the product (clock_sleep, transport waits) releases
-/// the token, and virtual time advances only when nothing is runnable, by
-/// jumping to the earliest pending deadline or timer. The schedule is a
-/// pure function of the participants' behavior, so a seeded scenario
-/// replays bit-identically — and months of virtual heartbeat/death-timeout
-/// time elapse in milliseconds of real time.
+/// blocking point in the product (clock_sleep, util::ClockCondition waits)
+/// releases the token, and virtual time advances only when nothing is
+/// runnable, by jumping to the earliest pending deadline or timer. The
+/// schedule is a pure function of the participants' behavior, so a seeded
+/// scenario replays bit-identically — and months of virtual
+/// heartbeat/death-timeout time elapse in milliseconds of real time.
+///
+/// A lost notify would hang an untimed wait, so when nothing is runnable,
+/// no timer or deadline is pending, nobody is outside in join_thread and a
+/// participant is parked untimed, the clock dumps its state and aborts.
 ///
 /// Thread model:
 ///   * The driver thread enters via register_driver() and initially holds
@@ -41,15 +45,21 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "util/clock.hpp"
 
 namespace vira::sim {
 
+static_assert(std::is_same_v<util::TimePoint::duration, std::chrono::nanoseconds>,
+              "virtual time counts steady_clock ticks as nanoseconds");
+
 class VirtualClock final : public util::Clock {
  public:
   using Nanos = std::int64_t;
+  /// Deadline of an untimed wait (util::kNoDeadline on this timeline).
+  static constexpr Nanos kForever = util::kNoDeadline.time_since_epoch().count();
 
   /// One cooperating thread. Owned by the clock; pointers stay valid until
   /// the clock is destroyed (threads are joined before that).
@@ -58,10 +68,10 @@ class VirtualClock final : public util::Clock {
     std::string name;
     std::condition_variable cv;
     bool granted = false;   ///< token offered; predicate for cv waits
-    bool waiting = false;   ///< parked in waiting_ with a deadline
-    bool signaled = false;  ///< woken by wake_locked (vs deadline expiry)
+    bool waiting = false;   ///< parked in waiting_ (deadline may be kForever)
     bool finished = false;
     Nanos deadline = 0;
+    const util::ClockCondition* condition = nullptr;  ///< parked on it, if any
     std::uint64_t wait_seq = 0;  ///< tie-break for equal deadlines (FIFO)
   };
 
@@ -76,6 +86,9 @@ class VirtualClock final : public util::Clock {
         std::chrono::nanoseconds(now_ns_.load(std::memory_order_relaxed)));
   }
   void sleep_for(std::chrono::nanoseconds duration) override;
+  void wait_until(std::unique_lock<std::mutex>& lock, util::ClockCondition& condition,
+                  util::TimePoint deadline) override;
+  void notify_all(util::ClockCondition& condition) override;
   void announce_thread(const std::string& name) override;
   void thread_begin(const std::string& name) override;
   void thread_end() override;
@@ -92,18 +105,18 @@ class VirtualClock final : public util::Clock {
   /// All _locked members require the lock returned by acquire().
   std::unique_lock<std::mutex> acquire() { return std::unique_lock<std::mutex>(mutex_); }
   Nanos now_ns() const { return now_ns_.load(std::memory_order_relaxed); }
-  /// The calling thread's participant (nullptr outside the machine).
-  Participant* self() const { return tls_self_; }
   /// Runs `fn` (under the machine lock) when virtual time reaches `due`.
   /// Timers at the same instant fire in registration order, before any
   /// deadline-expired participant resumes.
   void add_timer_locked(Nanos due, std::function<void()> fn);
-  /// Parks the calling participant until wake_locked() or `deadline_ns`,
+  /// Parks the calling participant until notify_all_locked(`condition`)
+  /// (null: nothing wakes it early) or `deadline_ns` (kForever: untimed),
   /// releasing the token meanwhile; returns with the token re-held.
-  void wait_for_signal_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns);
-  /// Moves a parked participant to the ready queue (FIFO). No-op if it is
-  /// not currently parked.
-  void wake_locked(Participant* p);
+  void wait_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns,
+                   const util::ClockCondition* condition);
+  /// Makes every participant parked on `condition` runnable at the current
+  /// instant, in park order.
+  void notify_all_locked(const util::ClockCondition& condition);
 
   /// Token hand-offs so far (diagnostic; deterministic per scenario).
   std::uint64_t switches() const { return switches_.load(std::memory_order_relaxed); }
@@ -114,6 +127,9 @@ class VirtualClock final : public util::Clock {
   /// on product-level mutexes, never this one, while it runs).
   void dump_state(std::ostream& out);
 
+  /// `t` on the virtual timeline.
+  static Nanos to_ns(util::TimePoint t) { return t.time_since_epoch().count(); }
+
  private:
   struct Timer {
     Nanos due;
@@ -123,21 +139,22 @@ class VirtualClock final : public util::Clock {
 
   void grant_locked(Participant* p);
   void release_token_locked();
-  void block_self_locked(std::unique_lock<std::mutex>& lock, Nanos deadline_ns);
   /// Picks the next runnable participant, advancing virtual time if needed.
   void schedule_next_locked();
+  void dump_state_locked(std::ostream& out);
 
   static thread_local Participant* tls_self_;
 
   mutable std::mutex mutex_;
   std::atomic<Nanos> now_ns_{0};
   bool token_held_ = false;
+  int outside_ = 0;  ///< participants really blocked in join_thread
   std::uint64_t next_seq_ = 0;
   std::atomic<std::uint64_t> switches_{0};
 
   /// Runnable participants, FIFO. The front is granted next.
   std::deque<Participant*> ready_;
-  /// Parked participants with deadlines (unordered; scanned on advance).
+  /// Parked participants in park order (scanned on advance and notify).
   std::vector<Participant*> waiting_;
   /// Min-heap by (due, seq) via heap algorithms on a vector.
   std::vector<Timer> timers_;

@@ -324,6 +324,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     ScenarioResult result = run_scenario(scenario);
     ++report.scenarios_run;
     report.total_transport_events += result.transport_events;
+    report.total_context_switches += result.context_switches;
 
     if (options.verify_every > 0 && i % options.verify_every == 0) {
       ++report.determinism_checks;

@@ -61,6 +61,7 @@ struct FuzzReport {
   int scenarios_run = 0;
   int determinism_checks = 0;
   std::uint64_t total_transport_events = 0;
+  std::uint64_t total_context_switches = 0;  ///< VirtualClock token hand-offs
   std::vector<FuzzFailure> failures;
   /// Seeds whose re-run produced a different trajectory hash — a bug in
   /// the DST machinery itself (or a nondeterministic product code path).

@@ -26,7 +26,7 @@ VirtualTransport::VirtualTransport(std::shared_ptr<VirtualClock> clock, Config c
     throw std::invalid_argument("VirtualTransport: size must be >= 1");
   }
   mailboxes_.resize(static_cast<std::size_t>(config_.size));
-  waiters_.resize(static_cast<std::size_t>(config_.size));
+  arrived_ = std::make_unique<util::ClockCondition[]>(static_cast<std::size_t>(config_.size));
   auto lock = clock_->acquire();
   for (const auto& [when, rank] : config_.kills) {
     const int victim = rank;
@@ -70,12 +70,7 @@ void VirtualTransport::deliver_locked(int dest, comm::Message msg) {
   }
   record_locked('d', msg.source, dest, msg.tag, msg.payload);
   mailboxes_[static_cast<std::size_t>(dest)].push_back(std::move(msg));
-  auto& queue = waiters_[static_cast<std::size_t>(dest)];
-  if (!queue.empty()) {
-    VirtualClock::Participant* waiter = queue.front();
-    queue.pop_front();
-    clock_->wake_locked(waiter);
-  }
+  clock_->notify_all_locked(arrived_[static_cast<std::size_t>(dest)]);
 }
 
 void VirtualTransport::send(int dest, comm::Message msg) {
@@ -106,38 +101,45 @@ void VirtualTransport::send(int dest, comm::Message msg) {
   }
 }
 
-std::optional<comm::Message> VirtualTransport::recv(int self,
-                                                    std::chrono::milliseconds timeout) {
-  if (self < 0 || self >= config_.size) {
-    throw std::out_of_range("VirtualTransport: bad endpoint");
+bool VirtualTransport::park_locked(std::unique_lock<std::mutex>& lock, int self,
+                                   util::TimePoint deadline) {
+  const auto deadline_ns = VirtualClock::to_ns(deadline);
+  if (down_ || clock_->now_ns() >= deadline_ns) {
+    return false;  // shut down (Communicator throws) or timed out
   }
+  clock_->wait_locked(lock, deadline_ns, &arrived_[static_cast<std::size_t>(self)]);
+  return true;
+}
+
+std::optional<comm::Message> VirtualTransport::recv(int self, const comm::Match& match,
+                                                    util::TimePoint deadline) {
+  auto& mailbox = mailboxes_.at(static_cast<std::size_t>(self));
   auto lock = clock_->acquire();
-  const auto deadline =
-      clock_->now_ns() + std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
-  auto& mailbox = mailboxes_[static_cast<std::size_t>(self)];
-  while (true) {
-    while (!mailbox.empty()) {
-      comm::Message msg = std::move(mailbox.front());
-      mailbox.pop_front();
-      if (schedule_.suppress_if_dead(msg.source, self)) {
-        continue;  // killed mid-queue; the message evaporates
+  do {
+    for (auto it = mailbox.begin(); it != mailbox.end();) {
+      if (schedule_.suppress_if_dead(it->source, self)) {
+        it = mailbox.erase(it);  // killed mid-queue; the message evaporates
+      } else if (match(*it)) {
+        comm::Message msg = std::move(*it);
+        mailbox.erase(it);
+        return msg;
+      } else {
+        ++it;
       }
-      return msg;
     }
-    if (down_) {
-      return std::nullopt;  // drained + shut down (Communicator throws)
-    }
-    if (clock_->now_ns() >= deadline) {
+  } while (park_locked(lock, self, deadline));
+  return std::nullopt;
+}
+
+std::optional<std::pair<int, int>> VirtualTransport::probe(int self, util::TimePoint deadline) {
+  const auto& mailbox = mailboxes_.at(static_cast<std::size_t>(self));
+  auto lock = clock_->acquire();
+  while (mailbox.empty()) {
+    if (!park_locked(lock, self, deadline)) {
       return std::nullopt;
     }
-    waiters_[static_cast<std::size_t>(self)].push_back(clock_->self());
-    clock_->wait_for_signal_locked(lock, deadline);
-    // Deadline expiry leaves us in the waiter queue; a delivery may also
-    // have been consumed by a sibling thread of this rank. Drop our stale
-    // registration and re-check.
-    auto& queue = waiters_[static_cast<std::size_t>(self)];
-    queue.erase(std::remove(queue.begin(), queue.end(), clock_->self()), queue.end());
   }
+  return std::make_pair(mailbox.front().source, mailbox.front().tag);
 }
 
 void VirtualTransport::shutdown() {
@@ -151,12 +153,8 @@ void VirtualTransport::shutdown() {
   // Release every blocked receiver, rank-ascending then FIFO: determinism
   // even for teardown (the hash is already finalized by now, but a
   // deterministic teardown keeps post-mortem logs comparable).
-  for (auto& queue : waiters_) {
-    while (!queue.empty()) {
-      VirtualClock::Participant* waiter = queue.front();
-      queue.pop_front();
-      clock_->wake_locked(waiter);
-    }
+  for (int rank = 0; rank < config_.size; ++rank) {
+    clock_->notify_all_locked(arrived_[static_cast<std::size_t>(rank)]);
   }
 }
 

@@ -46,7 +46,9 @@ class VirtualTransport final : public comm::Transport {
 
   int size() const override { return config_.size; }
   void send(int dest, comm::Message msg) override;
-  std::optional<comm::Message> recv(int self, std::chrono::milliseconds timeout) override;
+  std::optional<comm::Message> recv(int self, const comm::Match& match,
+                                    util::TimePoint deadline) override;
+  std::optional<std::pair<int, int>> probe(int self, util::TimePoint deadline) override;
   void shutdown() override;
   bool is_shut_down() const override;
 
@@ -61,6 +63,9 @@ class VirtualTransport final : public comm::Transport {
  private:
   void deliver_locked(int dest, comm::Message msg);
   void record_locked(char kind, int a, int b, int tag, const util::ByteBuffer& payload);
+  /// Parks the caller on `self`'s mailbox until a delivery, shutdown or
+  /// `deadline`; false (without parking) once shut down or past `deadline`.
+  bool park_locked(std::unique_lock<std::mutex>& lock, int self, util::TimePoint deadline);
 
   std::shared_ptr<VirtualClock> clock_;
   Config config_;
@@ -68,9 +73,9 @@ class VirtualTransport final : public comm::Transport {
   /// All state below is guarded by the clock's machine lock.
   comm::FaultSchedule schedule_;
   std::vector<std::deque<comm::Message>> mailboxes_;
-  /// Blocked receivers per rank, FIFO (a rank may have several receiving
-  /// threads: worker service loop + heartbeat).
-  std::vector<std::deque<VirtualClock::Participant*>> waiters_;
+  /// Per rank: a delivery or the shutdown happened. Receivers of a rank
+  /// park on it and re-check their filter when notified.
+  std::unique_ptr<util::ClockCondition[]> arrived_;
   bool down_ = false;
   std::uint64_t hash_ = 14695981039346656037ull;  ///< FNV-1a offset basis
   std::uint64_t events_ = 0;

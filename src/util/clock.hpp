@@ -3,12 +3,14 @@
 /// \file clock.hpp
 /// The injectable time source of the runtime (DESIGN.md "Testing strategy").
 ///
-/// Every component that reads the time or sleeps — scheduler liveness
-/// deadlines, worker heartbeats, DMS prefetch pacing, wall/phase timers —
-/// does so through the process-global Clock so deterministic simulation
-/// testing (sim::VirtualClock) can replace real time wholesale. The default
-/// RealClock forwards to std::chrono::steady_clock / this_thread::sleep_for
-/// with no behavioral change.
+/// Every component that reads the time, sleeps or blocks — scheduler
+/// liveness deadlines, worker heartbeats, mailbox receives, DMS and
+/// task-pool waits, wall/phase timers — does so through the process-global
+/// Clock so deterministic simulation testing (sim::VirtualClock) can
+/// replace real time wholesale. The default RealClock forwards to
+/// steady_clock, this_thread::sleep_for and, for ClockCondition waits,
+/// std::condition_variable. A cooperative clock must see every blocking
+/// point, so product threads never wait on a bare condition variable.
 ///
 /// The thread hooks exist for cooperative schedulers: a virtual clock must
 /// know every participating thread to serialize them deterministically.
@@ -20,17 +22,35 @@
 /// no-ops on RealClock.
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 
 namespace vira::util {
 
+using TimePoint = std::chrono::steady_clock::time_point;
+
+/// Deadline of an untimed wait.
+inline constexpr TimePoint kNoDeadline = TimePoint::max();
+
+class ClockCondition;
+
 class Clock {
  public:
   virtual ~Clock() = default;
 
-  virtual std::chrono::steady_clock::time_point now() = 0;
+  virtual TimePoint now() = 0;
   virtual void sleep_for(std::chrono::nanoseconds duration) = 0;
+
+  /// Parks the caller, which holds `lock`, until notify_all(`condition`)
+  /// or `deadline` (kNoDeadline: no limit). `lock` is released while parked
+  /// and held again on return. May return early; callers re-check their
+  /// predicate (ClockCondition::wait_until does).
+  virtual void wait_until(std::unique_lock<std::mutex>& lock, ClockCondition& condition,
+                          TimePoint deadline);
+  /// Wakes every caller parked on `condition`.
+  virtual void notify_all(ClockCondition& condition);
 
   /// --- cooperative-scheduling hooks (no-ops in real time) ------------------
   virtual void announce_thread(const std::string& /*name*/) {}
@@ -43,12 +63,10 @@ class Clock {
   }
 };
 
-/// Real time: steady_clock + this_thread::sleep_for.
+/// Real time: steady_clock, this_thread::sleep_for, condition_variable.
 class RealClock final : public Clock {
  public:
-  std::chrono::steady_clock::time_point now() override {
-    return std::chrono::steady_clock::now();
-  }
+  TimePoint now() override { return std::chrono::steady_clock::now(); }
   void sleep_for(std::chrono::nanoseconds duration) override {
     if (duration.count() > 0) {
       std::this_thread::sleep_for(duration);
@@ -65,11 +83,40 @@ Clock& global_clock() noexcept;
 /// scenario, on an otherwise quiescent process).
 void set_global_clock(Clock* clock) noexcept;
 
-inline std::chrono::steady_clock::time_point clock_now() { return global_clock().now(); }
+inline TimePoint clock_now() { return global_clock().now(); }
 
 template <typename Rep, typename Period>
 inline void clock_sleep(std::chrono::duration<Rep, Period> duration) {
   global_clock().sleep_for(std::chrono::duration_cast<std::chrono::nanoseconds>(duration));
 }
+
+/// A condition variable that blocks through the global clock. Use it like
+/// std::condition_variable, with the caller's std::mutex guarding the
+/// predicate's state; notify after changing that state.
+class ClockCondition {
+ public:
+  /// Waits until `pred()` holds (true) or `deadline` passes (false).
+  template <typename Pred>
+  bool wait_until(std::unique_lock<std::mutex>& lock, TimePoint deadline, Pred pred) {
+    while (!pred()) {
+      if (clock_now() >= deadline) {
+        return false;
+      }
+      global_clock().wait_until(lock, *this, deadline);
+    }
+    return true;
+  }
+
+  template <typename Pred>
+  void wait(std::unique_lock<std::mutex>& lock, Pred pred) {
+    (void)wait_until(lock, kNoDeadline, pred);
+  }
+
+  void notify_all() { global_clock().notify_all(*this); }
+
+ private:
+  friend class Clock;
+  std::condition_variable cv_;  ///< RealClock's waits and notifies
+};
 
 }  // namespace vira::util

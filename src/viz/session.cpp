@@ -1,5 +1,6 @@
 #include "viz/session.hpp"
 
+#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace vira::viz {
@@ -10,24 +11,9 @@ std::optional<Packet> ResultStream::next(std::chrono::milliseconds timeout) {
 
 core::CommandStats ResultStream::wait(std::vector<util::ByteBuffer>* fragments,
                                       std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (true) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      throw std::runtime_error("ResultStream::wait: timed out");
-    }
-    auto packet = queue_.pop_for(std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - now));
-    if (!packet) {
-      if (queue_.closed()) {
-        // Closed-and-drained: no terminal packet is ever coming (link
-        // died, session closed). pop_for returns immediately in that
-        // state, so looping here used to busy-spin at 100% CPU for the
-        // whole timeout — fail fast instead.
-        throw std::runtime_error("ResultStream::wait: stream closed before completion");
-      }
-      continue;
-    }
+  const auto deadline = util::clock_now() + timeout;
+  const auto any = [](const Packet&) { return true; };
+  while (auto packet = queue_.pop_until(any, deadline)) {
     switch (packet->kind) {
       case Packet::Kind::kPartial:
       case Packet::Kind::kFinal:
@@ -55,6 +41,11 @@ core::CommandStats ResultStream::wait(std::vector<util::ByteBuffer>* fragments,
         break;
     }
   }
+  // No terminal packet: timed out, or the stream closed (link died, session
+  // closed) and none is ever coming.
+  throw std::runtime_error(queue_.closed()
+                               ? "ResultStream::wait: stream closed before completion"
+                               : "ResultStream::wait: timed out");
 }
 
 ExtractionSession::ExtractionSession(std::shared_ptr<comm::ClientLink> link)

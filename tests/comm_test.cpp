@@ -30,6 +30,12 @@ vu::ByteBuffer make_payload(const std::string& text) {
 
 std::string read_payload(vu::ByteBuffer& buf) { return buf.read_string(); }
 
+/// The next message queued for `self`, whatever its source and tag.
+std::optional<vc::Message> take(vc::Transport& transport, int self,
+                                std::chrono::milliseconds timeout) {
+  return transport.recv(self, vc::Match{vc::kAnySource, vc::kAnyTag}, vu::clock_now() + timeout);
+}
+
 /// Runs `body(rank, comm)` on `size` threads over a shared InProcTransport.
 void run_ranks(int size, const std::function<void(int, vc::Communicator&)>& body) {
   auto transport = std::make_shared<vc::InProcTransport>(size);
@@ -60,27 +66,27 @@ TEST(InProcTransport, DeliversToAddressedEndpoint) {
   msg.payload = make_payload("hello");
   transport.send(2, std::move(msg));
 
-  auto received = transport.recv(2, std::chrono::milliseconds(100));
+  auto received = take(transport, 2, std::chrono::milliseconds(100));
   ASSERT_TRUE(received.has_value());
   EXPECT_EQ(received->source, 0);
   EXPECT_EQ(received->tag, 7);
   EXPECT_EQ(read_payload(received->payload), "hello");
 
-  EXPECT_FALSE(transport.recv(0, std::chrono::milliseconds(1)).has_value());
+  EXPECT_FALSE(take(transport, 0, std::chrono::milliseconds(1)).has_value());
 }
 
 TEST(InProcTransport, RejectsBadEndpoints) {
   vc::InProcTransport transport(2);
   vc::Message msg;
   EXPECT_THROW(transport.send(5, std::move(msg)), std::out_of_range);
-  EXPECT_THROW((void)transport.recv(-1, std::chrono::milliseconds(1)), std::out_of_range);
+  EXPECT_THROW((void)take(transport, -1, std::chrono::milliseconds(1)), std::out_of_range);
   EXPECT_THROW(vc::InProcTransport(0), std::invalid_argument);
 }
 
 TEST(InProcTransport, ShutdownReleasesReceivers) {
   auto transport = std::make_shared<vc::InProcTransport>(1);
   std::thread receiver([&] {
-    const auto msg = transport->recv(0, std::chrono::milliseconds(5000));
+    const auto msg = take(*transport, 0, std::chrono::milliseconds(5000));
     EXPECT_FALSE(msg.has_value());
   });
   transport->shutdown();
@@ -100,7 +106,7 @@ TEST(InProcTransport, SendAfterShutdownIsDroppedSilently) {
   msg.tag = 1;
   msg.payload = make_payload("too late");
   EXPECT_NO_THROW(transport.send(1, std::move(msg)));
-  EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(20)).has_value());
+  EXPECT_FALSE(take(transport, 1, std::chrono::milliseconds(20)).has_value());
 }
 
 TEST(InProcTransport, SendsRacingShutdownNeverThrowOrHang) {
@@ -123,7 +129,7 @@ TEST(InProcTransport, SendsRacingShutdownNeverThrowOrHang) {
   }
   std::atomic<int> received{0};
   std::thread receiver([transport, &received] {
-    while (transport->recv(2, std::chrono::milliseconds(50)).has_value()) {
+    while (take(*transport, 2, std::chrono::milliseconds(50)).has_value()) {
       received.fetch_add(1);
     }
   });
@@ -563,31 +569,29 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSweepTest, ::testing::Values(2, 3
 // ---------------------------------------------------------------------------
 
 TEST(Communicator, MessageStolenBySiblingThreadStillReachesItsAddressee) {
-  // A thread polling for tag A pulls a tag-B message off the transport and
-  // buffers it in the unexpected-message queue. The tag-B receiver must get
-  // it from there — a stolen message may never be lost.
+  // A receiver waiting for tag A sees a tag-B message arrive in the
+  // mailbox and leaves it queued. The tag-B receiver must get it — a
+  // message another filter passed over may never be lost.
   auto transport = std::make_shared<vc::InProcTransport>(2);
   vc::Communicator sender(transport, 0);
   vc::Communicator receiver(transport, 1);
 
   sender.send(1, /*tag=*/7, make_payload("stolen"));
-  // Poll for the wrong tag until the pump has definitely buffered tag 7.
+  // Receive the wrong tag until tag 7 is definitely queued.
   ASSERT_TRUE(vira::test::eventually([&] {
     EXPECT_FALSE(receiver.try_recv(vc::kAnySource, /*tag=*/99, std::chrono::milliseconds(1)));
     return receiver.probe(std::chrono::milliseconds(0)).has_value();
   }));
-  // Now a zero-timeout receive must find it without touching the transport.
+  // Now a zero-timeout receive must find it.
   auto msg = receiver.try_recv(0, 7, std::chrono::milliseconds(0));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(read_payload(msg->payload), "stolen");
 }
 
 TEST(Communicator, ConcurrentPumpingSiblingDoesNotStarveAReceiver) {
-  // Regression: try_recv used to park in a single transport wait as long as
-  // its whole timeout. With a sibling thread pumping the same rank, the
-  // sibling buffers the caller's message and the caller only noticed at its
-  // deadline — long enough to trip the scheduler's idle-grace watchdog. The
-  // wait is now sliced, so delivery happens promptly even mid-wait.
+  // Regression: with a sibling thread receiving on the same rank, the
+  // caller's message must reach the caller promptly, not at its deadline
+  // (which once tripped the scheduler's idle-grace watchdog).
   auto transport = std::make_shared<vc::InProcTransport>(2);
   vc::Communicator sender(transport, 0);
   vc::Communicator receiver(transport, 1);

@@ -15,12 +15,17 @@
 #include <utility>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "comm/fault_transport.hpp"
+#include "dms/data_proxy.hpp"
+#include "dms/data_server.hpp"
+#include "dms/shard_map.hpp"
 #include "sim/dst_clock.hpp"
 #include "sim/dst_fuzz.hpp"
 #include "sim/dst_harness.hpp"
 #include "sim/dst_transport.hpp"
 #include "test_util.hpp"
+#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace vira {
@@ -64,6 +69,187 @@ TEST(VirtualClockTest, TimersFireInDueThenRegistrationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(clock.now_ns(), 10'000'000);
   clock.unregister_driver();
+}
+
+/// Installs a fresh VirtualClock with the test thread as driver.
+struct VirtualTime {
+  std::shared_ptr<sim::VirtualClock> clock = std::make_shared<sim::VirtualClock>();
+  VirtualTime() {
+    util::set_global_clock(clock.get());
+    clock->register_driver();
+  }
+  ~VirtualTime() {
+    clock->unregister_driver();
+    util::set_global_clock(nullptr);
+  }
+};
+
+TEST(VirtualClockTest, NotifyWakesAnUntimedWaiterAtTheCurrentInstant) {
+  VirtualTime vt;
+  auto& clock = vt.clock;
+  std::mutex mutex;
+  util::ClockCondition condition;
+  bool ready = false;
+  std::int64_t woke_at = -1;
+  clock->announce_thread("waiter");
+  std::thread waiter([&] {
+    clock->thread_begin("waiter");
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      condition.wait(lock, [&] { return ready; });
+      woke_at = clock->now_ns();
+    }
+    clock->thread_end();
+  });
+  clock->sleep_for(std::chrono::milliseconds(3));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    ready = true;
+  }
+  condition.notify_all();
+  clock->join_thread(waiter);
+  EXPECT_EQ(woke_at, 3'000'000);
+}
+
+TEST(VirtualClockDeathTest, UntimedWaitThatNothingCanWakeAbortsWithAStateDump) {
+  // With untimed waits a lost notify would hang the process; the machine
+  // must report it instead: nothing runnable, no timer, no deadline, and a
+  // participant parked untimed.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::VirtualClock clock;
+        util::set_global_clock(&clock);
+        clock.register_driver();
+        std::mutex mutex;
+        util::ClockCondition never;
+        std::unique_lock<std::mutex> lock(mutex);
+        never.wait(lock, [] { return false; });
+      },
+      "deadlock(.|\n)*driver: parked untimed");
+}
+
+// --- Waits end at the instant their event happens ----------------------------
+//
+// Each case runs product code under VirtualClock and asserts the exact
+// virtual instant a blocked caller resumes: the instant the event it waits
+// for happens, not the next boundary of a poll slice.
+
+/// Every load takes kLoadTime of virtual time.
+class TimedLoadSource final : public dms::DataSource {
+ public:
+  static constexpr auto kLoadTime = std::chrono::microseconds(700);
+
+  util::ByteBuffer load(const dms::DataItemName& name) override {
+    ++loads;
+    util::clock_sleep(kLoadTime);
+    util::ByteBuffer bytes;
+    bytes.write_string(name.canonical());
+    return bytes;
+  }
+  std::uint64_t item_bytes(const dms::DataItemName&) const override { return 64; }
+  std::uint64_t file_bytes(const dms::DataItemName&) const override { return 64; }
+  std::string file_key(const dms::DataItemName& name) const override { return name.canonical(); }
+
+  int loads = 0;  ///< token-serialized under the virtual clock
+};
+
+TEST(EventDrivenWaitTest, DemandRequestReturnsWhenTheInFlightPrefetchLands) {
+  VirtualTime vt;
+  auto source = std::make_shared<TimedLoadSource>();
+  std::int64_t returned_at = -1;
+  {
+    dms::DataProxyConfig config;
+    config.cache.l1_capacity_bytes = 1 << 20;
+    config.async_prefetch = true;
+    dms::DataProxy proxy(config, std::make_shared<dms::DataServer>(), source);
+    const auto name = dms::block_item("wait", 0, 3);
+    proxy.code_prefetch(name);
+    // The prefetch thread takes the item at t=0 and loads until 700 us; the
+    // demand request meets that load in flight at 100 us.
+    vt.clock->sleep_for(std::chrono::microseconds(100));
+    ASSERT_NE(proxy.request(name), nullptr);
+    returned_at = vt.clock->now_ns();
+  }
+  EXPECT_EQ(source->loads, 1) << "the demand request must reuse the prefetched load";
+  EXPECT_EQ(returned_at, std::chrono::nanoseconds(TimedLoadSource::kLoadTime).count());
+}
+
+TEST(EventDrivenWaitTest, SiblingBlockedOnAnotherTagDoesNotDelayAReceive) {
+  VirtualTime vt;
+  sim::VirtualTransport::Config config;
+  config.size = 2;
+  auto transport = std::make_shared<sim::VirtualTransport>(vt.clock, config);
+  comm::Communicator sender(transport, 0);
+  comm::Communicator receiver(transport, 1);
+
+  std::int64_t received_at = -1;
+  vt.clock->announce_thread("sibling");
+  std::thread sibling([&] {
+    vt.clock->thread_begin("sibling");
+    (void)receiver.recv(comm::kAnySource, /*tag=*/99);
+    vt.clock->thread_end();
+  });
+  vt.clock->announce_thread("receiver");
+  std::thread waiter([&] {
+    vt.clock->thread_begin("receiver");
+    if (receiver.try_recv(0, /*tag=*/7, std::chrono::milliseconds(100))) {
+      received_at = vt.clock->now_ns();
+    }
+    vt.clock->thread_end();
+  });
+  // Both threads of rank 1 park (the sibling first); the message for the
+  // receiver is delivered at 3 ms.
+  vt.clock->sleep_for(std::chrono::milliseconds(3));
+  sender.send(1, 7, util::ByteBuffer());
+  vt.clock->join_thread(waiter);
+  sender.send(1, 99, util::ByteBuffer());
+  vt.clock->join_thread(sibling);
+  EXPECT_EQ(received_at, 3'000'000);
+}
+
+TEST(EventDrivenWaitTest, PeerFetchTakesTheReplyAtItsDeliveryInstant) {
+  VirtualTime vt;
+  sim::VirtualTransport::Config config;
+  config.size = 3;  // rank 0 (the scheduler's) stays idle; proxies on 1 and 2
+  auto transport = std::make_shared<sim::VirtualTransport>(vt.clock, config);
+  auto server = std::make_shared<dms::DataServer>();
+  auto source = std::make_shared<TimedLoadSource>();
+  dms::ShardMap::Config shards;
+  shards.members = 2;
+  shards.replication = 1;
+
+  std::int64_t fetch_ns = -1;
+  {
+    std::vector<std::unique_ptr<dms::DataProxy>> proxies;
+    for (int index = 0; index < 2; ++index) {
+      dms::DataProxyConfig pconfig;
+      pconfig.proxy_id = index;
+      pconfig.cache.l1_capacity_bytes = 1 << 20;
+      pconfig.async_prefetch = false;
+      proxies.push_back(std::make_unique<dms::DataProxy>(pconfig, server, source));
+      proxies.back()->configure_sharding(
+          std::make_shared<dms::ShardMap>(shards),
+          std::make_shared<comm::Communicator>(transport, index + 1));
+    }
+    const dms::ShardMap routes(shards);
+    dms::DataItemName name;
+    for (int block = 0; block < 64; ++block) {
+      name = dms::block_item("wait", 0, block);
+      if (routes.primary(proxies[0]->resolver().resolve(name)) == 0) {
+        break;
+      }
+    }
+    ASSERT_NE(proxies[0]->request(name), nullptr);  // the owner loads from disk
+    // Proxy 1 misses and fetches from the warm owner; the transport adds no
+    // delay, so the reply is delivered at the instant the fetch starts. The
+    // requester's own peer-service thread is parked on the same rank.
+    const std::int64_t start = vt.clock->now_ns();
+    ASSERT_NE(proxies[1]->request(name), nullptr);
+    fetch_ns = vt.clock->now_ns() - start;
+    EXPECT_EQ(proxies[1]->stats().snapshot().peer_fetches, 1u);
+  }
+  EXPECT_EQ(fetch_ns, 0);
 }
 
 // --- One fault schedule, two transports -------------------------------------
@@ -112,7 +298,10 @@ class RecordingTransport final : public comm::Transport {
     ++(std::this_thread::get_id() == sender_ ? slot.first : slot.second);
     ++total_;
   }
-  std::optional<comm::Message> recv(int, std::chrono::milliseconds) override {
+  std::optional<comm::Message> recv(int, const comm::Match&, util::TimePoint) override {
+    return std::nullopt;
+  }
+  std::optional<std::pair<int, int>> probe(int, util::TimePoint) override {
     return std::nullopt;
   }
   void shutdown() override {}
@@ -163,7 +352,8 @@ TEST(FaultScheduleParityTest, RealAndVirtualTransportsDecideAlike) {
   Deliveries virtual_deliveries;
   auto drain = [&](bool late) {
     for (int rank = 0; rank < kParityRanks; ++rank) {
-      while (auto msg = virt.recv(rank, std::chrono::milliseconds(0))) {
+      while (auto msg =
+                 virt.recv(rank, comm::Match{comm::kAnySource, comm::kAnyTag}, clock->now())) {
         auto& slot = virtual_deliveries[msg->tag];
         ++(late ? slot.second : slot.first);
       }

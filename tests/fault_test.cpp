@@ -22,6 +22,12 @@ namespace vv = vira::viz;
 
 namespace {
 
+/// The next message queued for `self`, whatever its source and tag.
+std::optional<vm::Message> take(vm::Transport& transport, int self,
+                                std::chrono::milliseconds timeout) {
+  return transport.recv(self, vm::Match{vm::kAnySource, vm::kAnyTag}, vu::clock_now() + timeout);
+}
+
 vm::Message tagged(int source, int tag, const std::string& text) {
   vm::Message msg;
   msg.source = source;
@@ -39,13 +45,13 @@ TEST(FaultTransport, ZeroRatesArePurePassThrough) {
   vm::FaultInjectingTransport transport(inner, vm::FaultInjectionConfig{});
 
   transport.send(1, tagged(0, 7, "hello"));
-  auto msg = transport.recv(1, std::chrono::milliseconds(200));
+  auto msg = take(transport, 1, std::chrono::milliseconds(200));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->source, 0);
   EXPECT_EQ(msg->tag, 7);
   EXPECT_EQ(msg->payload.read_string(), "hello");
   // Nothing else shows up.
-  EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(20)).has_value());
+  EXPECT_FALSE(take(transport, 1, std::chrono::milliseconds(20)).has_value());
 
   const auto stats = transport.stats();
   EXPECT_EQ(stats.forwarded, 1u);
@@ -63,7 +69,7 @@ TEST(FaultTransport, DropRateOneLosesEveryMessage) {
 
   transport.send(1, tagged(0, 1, "gone"));
   transport.send(1, tagged(0, 2, "also gone"));
-  EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(50)).has_value());
+  EXPECT_FALSE(take(transport, 1, std::chrono::milliseconds(50)).has_value());
   EXPECT_EQ(transport.stats().dropped, 2u);
   EXPECT_EQ(transport.stats().forwarded, 0u);
 }
@@ -75,13 +81,13 @@ TEST(FaultTransport, DuplicateRateOneDeliversTwice) {
   vm::FaultInjectingTransport transport(inner, config);
 
   transport.send(1, tagged(0, 3, "twin"));
-  auto first = transport.recv(1, std::chrono::milliseconds(200));
-  auto second = transport.recv(1, std::chrono::milliseconds(200));
+  auto first = take(transport, 1, std::chrono::milliseconds(200));
+  auto second = take(transport, 1, std::chrono::milliseconds(200));
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->payload.read_string(), "twin");
   EXPECT_EQ(second->payload.read_string(), "twin");
-  EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(20)).has_value());
+  EXPECT_FALSE(take(transport, 1, std::chrono::milliseconds(20)).has_value());
   EXPECT_EQ(transport.stats().duplicated, 1u);
 }
 
@@ -93,7 +99,7 @@ TEST(FaultTransport, DelayedMessageStillArrives) {
   vm::FaultInjectingTransport transport(inner, config);
 
   transport.send(1, tagged(0, 4, "late"));
-  auto msg = transport.recv(1, std::chrono::milliseconds(1000));
+  auto msg = take(transport, 1, std::chrono::milliseconds(1000));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload.read_string(), "late");
   EXPECT_EQ(transport.stats().delayed, 1u);
@@ -110,13 +116,13 @@ TEST(FaultTransport, KilledRankIsIsolatedBothWays) {
 
   transport.send(1, tagged(0, 5, "to the dead"));    // towards the corpse
   transport.send(2, tagged(1, 6, "from the dead"));  // from the corpse
-  EXPECT_FALSE(transport.recv(1, std::chrono::milliseconds(50)).has_value());
-  EXPECT_FALSE(transport.recv(2, std::chrono::milliseconds(50)).has_value());
+  EXPECT_FALSE(take(transport, 1, std::chrono::milliseconds(50)).has_value());
+  EXPECT_FALSE(take(transport, 2, std::chrono::milliseconds(50)).has_value());
   EXPECT_EQ(transport.stats().suppressed_dead, 2u);
 
   // Unaffected pairs still communicate.
   transport.send(2, tagged(0, 7, "alive"));
-  auto msg = transport.recv(2, std::chrono::milliseconds(200));
+  auto msg = take(transport, 2, std::chrono::milliseconds(200));
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->payload.read_string(), "alive");
 }

@@ -68,7 +68,8 @@ int run_range(std::uint64_t first, std::uint64_t last, int verify_every) {
   const auto report = vira::sim::run_fuzz(options);
   std::cout << "vira-dst: " << report.scenarios_run << " scenarios (seeds " << first << ".."
             << last << "), " << report.determinism_checks << " determinism checks, "
-            << report.total_transport_events << " transport events\n";
+            << report.total_transport_events << " transport events, "
+            << report.total_context_switches << " context switches\n";
   for (const auto& failure : report.failures) {
     std::cout << "FAILURE seed=" << failure.seed << "\n  scenario: " << failure.scenario << "\n";
     for (const auto& violation : failure.violations) {
